@@ -136,6 +136,20 @@ pub(crate) fn solve_into(
     bcs: &[BoundaryCondition],
     ws: &mut BvpWorkspace,
 ) -> Result<(), SingularMatrix> {
+    assemble_into(coeffs, mesh, bcs, ws);
+    ws.mat.factor_into(&mut ws.lu)?;
+    ws.lu.solve_in_place(&mut ws.rhs);
+    Ok(())
+}
+
+/// Assembles the collocation matrix and right-hand side into `ws.mat` and
+/// `ws.rhs` (the first half of [`solve_into`], with the same panics).
+fn assemble_into(
+    coeffs: &dyn Coefficients,
+    mesh: &[f64],
+    bcs: &[BoundaryCondition],
+    ws: &mut BvpWorkspace,
+) {
     let s = coeffs.n_states();
     assert_eq!(
         bcs.len(),
@@ -203,10 +217,19 @@ pub(crate) fn solve_into(
         ws.mat.set(row0 + r, last + bc.state, 1.0);
         ws.rhs[row0 + r] = bc.value;
     }
+}
 
-    ws.mat.factor_into(&mut ws.lu)?;
-    ws.lu.solve_in_place(&mut ws.rhs);
-    Ok(())
+/// The assembled collocation matrix and right-hand side, before any
+/// factorization (the kernel tests' view of a real system).
+#[cfg(test)]
+pub(crate) fn assemble(
+    coeffs: &dyn Coefficients,
+    mesh: &[f64],
+    bcs: &[BoundaryCondition],
+) -> (BandedMatrix, Vec<f64>) {
+    let mut ws = BvpWorkspace::new();
+    assemble_into(coeffs, mesh, bcs, &mut ws);
+    (ws.mat, ws.rhs)
 }
 
 /// Assembles and solves the collocation system with one-shot storage.
@@ -240,6 +263,7 @@ pub(crate) fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::sliding_row;
 
     /// dX/dz = [[0, 1], [0, 0]]·X + [0, c] — i.e. x'' = c, a beam-like toy
     /// problem with exact quadratic solution.
@@ -402,6 +426,86 @@ mod tests {
                 value: 0.0,
             }],
         );
+    }
+
+    /// A cooled channel in miniature — `T' = −q`, `q' = 4·(T − T_c) − 1`,
+    /// `T_c' = (T − T_c)/2` — with one coefficient or forcing term replaced
+    /// by `poison` on the interval around `z_poison`.
+    struct Poisoned {
+        slot: usize,
+        poison: f64,
+        z_poison: f64,
+    }
+
+    impl Coefficients for Poisoned {
+        fn n_states(&self) -> usize {
+            3
+        }
+        fn eval(&self, z: f64, a: &mut [f64], b: &mut [f64]) {
+            a.copy_from_slice(&[0.0, -1.0, 0.0, 4.0, 0.0, -4.0, 0.5, 0.0, -0.5]);
+            b.copy_from_slice(&[0.0, -1.0, 0.0]);
+            if z == self.z_poison {
+                match self.slot {
+                    s if s < 9 => a[s] = self.poison,
+                    s => b[s - 9] = self.poison,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_coefficients_never_solve_finite() {
+        // A NaN or ±inf anywhere in the assembled system must surface as an
+        // error or a non-finite state, so the optimizer's line search keeps
+        // rejecting the point; the plain sliding-row solve behaves the same.
+        let mesh = build_mesh(1.0, 16, &[]);
+        let bcs = [
+            BoundaryCondition {
+                state: 1,
+                end: BcEnd::Start,
+                value: 0.0,
+            },
+            BoundaryCondition {
+                state: 2,
+                end: BcEnd::Start,
+                value: 1.0,
+            },
+            BoundaryCondition {
+                state: 1,
+                end: BcEnd::End,
+                value: 0.0,
+            },
+        ];
+        let clean = Poisoned {
+            slot: 0,
+            poison: 0.0,
+            z_poison: f64::NAN,
+        };
+        let x = solve(&clean, &mesh, &bcs).unwrap();
+        assert!(x.states.iter().flatten().all(|v| v.is_finite()));
+        for interval in mesh.windows(2) {
+            for slot in 0..12 {
+                for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let coeffs = Poisoned {
+                        slot,
+                        poison,
+                        z_poison: 0.5 * (interval[0] + interval[1]),
+                    };
+                    let (matrix, rhs) = assemble(&coeffs, &mesh, &bcs);
+                    let kernel = solve(&coeffs, &mesh, &bcs).map(|s| s.states.concat());
+                    for (path, solved) in [
+                        ("kernel", kernel),
+                        ("oracle", sliding_row::solve(&matrix, &rhs)),
+                    ] {
+                        assert!(
+                            solved.map_or(true, |x| x.iter().any(|v| !v.is_finite())),
+                            "{path}: {poison} in slot {slot} at z = {} solved finite",
+                            coeffs.z_poison
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

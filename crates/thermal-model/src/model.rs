@@ -358,6 +358,30 @@ impl Model {
     /// mesh refresh, assembly and the banded solve, leaving the node-major
     /// states in the workspace.
     fn solve_raw(&self, options: &SolveOptions, ws: &mut SolveWorkspace) -> Result<()> {
+        let coeffs = self.prepare_solve(options, ws)?;
+        bvp::solve_into(&coeffs, &ws.mesh, &ws.bcs, &mut ws.bvp)?;
+        Ok(())
+    }
+
+    /// The collocation system [`Model::solve_with`] would factor, assembled
+    /// but not solved (the kernel tests' view of a real model).
+    #[cfg(test)]
+    pub(crate) fn assembled_system(
+        &self,
+        options: &SolveOptions,
+    ) -> Result<(crate::linalg::BandedMatrix, Vec<f64>)> {
+        let mut ws = SolveWorkspace::new();
+        let coeffs = self.prepare_solve(options, &mut ws)?;
+        Ok(bvp::assemble(&coeffs, &ws.mesh, &ws.bcs))
+    }
+
+    /// Refreshes the workspace's mesh and boundary conditions for this
+    /// model and builds its coefficient callback.
+    fn prepare_solve(
+        &self,
+        options: &SolveOptions,
+        ws: &mut SolveWorkspace,
+    ) -> Result<StackCoefficients<'_>> {
         if options.mesh_intervals == 0 {
             return Err(ThermalModelError::InvalidOptions {
                 what: "mesh_intervals must be at least 1".to_string(),
@@ -386,8 +410,7 @@ impl Model {
 
         let coeffs = StackCoefficients::build(self)?;
         self.boundary_conditions_into(&mut ws.bcs);
-        bvp::solve_into(&coeffs, &ws.mesh, &ws.bcs, &mut ws.bvp)?;
-        Ok(())
+        Ok(coeffs)
     }
 
     /// Pressure drop of one *physical* channel in each column at the model's
@@ -691,7 +714,9 @@ impl Coefficients for StackCoefficients<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::sliding_row;
     use liquamod_units::LinearHeatFlux;
+    use proptest::prelude::*;
 
     fn wpm(v: f64) -> LinearHeatFlux {
         LinearHeatFlux::from_w_per_m(v)
@@ -1038,6 +1063,60 @@ mod tests {
         // Same mesh inputs for the first two cases (heat/width breakpoints
         // are uniform → none): only the resolution changes force rebuilds.
         assert_eq!(ws.mesh_builds(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The collocation systems the optimizer factors, at 1, 2, 4 and 8
+        /// columns with forward and reverse flow, solve bit for bit like
+        /// the plain sliding-row band LU (exact zeros compared by value).
+        #[test]
+        fn collocation_solves_match_sliding_row_oracle_bitwise(
+            reverse in 0usize..256,
+            widths_um in proptest::collection::vec(10.0f64..50.0, 24..25),
+            heats in proptest::collection::vec(0.0f64..200.0, 32..33),
+            group_size in 1usize..50,
+            mesh in 16usize..64,
+        ) {
+            let d = Length::from_centimeters(1.0);
+            for n_cols in [1usize, 2, 4, 8] {
+                let columns = (0..n_cols)
+                    .map(|i| {
+                        let widths = widths_um[3 * i..3 * i + 3]
+                            .iter()
+                            .map(|&w| Length::from_micrometers(w))
+                            .collect();
+                        let heat = |j: usize| {
+                            let segments = [wpm(heats[4 * i + j]), wpm(heats[4 * i + j + 1])];
+                            HeatProfile::equal_segments(&segments, d)
+                        };
+                        let flow = if reverse >> i & 1 == 1 {
+                            FlowDirection::Reverse
+                        } else {
+                            FlowDirection::Forward
+                        };
+                        ChannelColumn::new(WidthProfile::piecewise_constant(widths))
+                            .with_group_size(group_size)
+                            .with_heat_top(heat(0))
+                            .with_heat_bottom(heat(2))
+                            .with_flow_direction(flow)
+                    })
+                    .collect();
+                let model = Model::new(ModelParams::date2012(), d, columns).unwrap();
+                let (matrix, rhs) = model
+                    .assembled_system(&SolveOptions::with_mesh_intervals(mesh))
+                    .unwrap();
+                let expected = sliding_row::solve(&matrix, &rhs).unwrap();
+                let got = matrix.factor().unwrap().solve(&rhs);
+                prop_assert_eq!(
+                    sliding_row::first_difference(&got, &expected),
+                    None,
+                    "{} columns",
+                    n_cols
+                );
+            }
+        }
     }
 
     #[test]
