@@ -5,9 +5,11 @@
 //! the requested flow, valves that actuate, an inlet held at its nominal
 //! 300 K. This module defines the *degraded-operation contract*: a
 //! deterministic, seeded [`FaultSchedule`] of timestamped [`FaultEvent`]s
-//! is threaded through the fleet loop ([`run_faulted_fleet`]) and the
-//! per-stack transient controller
-//! ([`ModulationController::run_faulted`](crate::transient::ModulationController::run_faulted)),
+//! is threaded through the segmented fleet loop ([`run_faulted_fleet`] —
+//! the same wavefront scheduler as [`crate::fleet::run_fleet`], with the
+//! schedule entering through three posture hooks) and the per-stack
+//! transient controller
+//! ([`ModulationController::run_segment`](crate::transient::ModulationController::run_segment)),
 //! and every fault surfaces as a structured [`DegradedEvent`] instead of a
 //! panic or silent divergence.
 //!
@@ -27,24 +29,25 @@
 //! serial bitwise guarantee: schedules are replayable, and worker counts
 //! cannot leak into the physics.
 //!
-//! [`run_faults_sweep`] fans the scenario grid
+//! [`run_faults_sweep`] runs the scenario grid
 //! ([`FaultScenario`]: healthy / pump-ramp / stuck-valve / inlet-excursion,
 //! each under the fault-aware controller *and* the fault-oblivious
-//! baseline) across worker threads; the bench `sweep -- faults` mode gates
+//! baseline) as lanes of one wavefront evaluation, every (lane × stack)
+//! segment fanned across worker threads; the bench `sweep -- faults` mode gates
 //! on the aware controller strictly beating the oblivious one on the worst
 //! stack's time-peak gradient while staying within [`EXCURSION_BOUND`] of
 //! the healthy run.
 
-use crate::fleet::{allocate, FleetOptions, PumpBudget, SegmentMetrics, StackRun, StackSpec};
-use crate::mpsoc::MpsocModulated;
+use crate::fleet::{
+    allocate_with, run_fleet_lanes, BudgetPolicy, FleetLane, FleetOptions, FleetOutcome,
+    PredictiveContext, PumpBudget, StackSpec,
+};
 use crate::obs;
-use crate::sweep::run_variant_sweep;
-use crate::transient::{ModulationPolicy, ResumeState};
+use crate::transient::golden_num_array;
 use crate::{CoreError, CsvTable, Result};
-use liquamod_floorplan::arch::Architecture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The declared excursion bound of the degraded-operation contract: under
 /// every fault scenario of the bench grid, the fault-aware controller must
@@ -79,7 +82,7 @@ pub enum ValveMode {
 
 /// The fault conditions of one controller segment — the per-stack slice of
 /// a [`FaultSchedule`] that
-/// [`ModulationController::run_faulted`](crate::transient::ModulationController::run_faulted)
+/// [`ModulationController::run_segment`](crate::transient::ModulationController::run_segment)
 /// consumes. The default value is the healthy plant.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SegmentFaults {
@@ -527,157 +530,260 @@ impl FaultSchedule {
 }
 
 // ---------------------------------------------------------------------------
-// The fault-aware fleet loop
+// Fault postures: how a fleet lane meets its schedule
 // ---------------------------------------------------------------------------
 
-/// The collected result of one faulted fleet run.
+/// How one lane of the segmented fleet loop meets its fault schedule. The
+/// wavefront scheduler calls the three hooks ([`FaultPosture::shares`],
+/// [`FaultPosture::stack_faults`], [`FaultPosture::feedback`]) for every
+/// lane; they are the only places a faulted lane differs from a healthy
+/// one.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultedFleetOutcome {
-    /// Whether the run was fault-aware (`true`) or the fault-oblivious
-    /// baseline (`false`).
-    pub aware: bool,
-    /// One trajectory per stack, in spec order (the same
-    /// [`StackRun`]/[`SegmentMetrics`] records the healthy fleet uses).
-    pub stacks: Vec<StackRun>,
-    /// The flow shares each segment ran at: `allocations[segment][stack]`.
-    pub allocations: Vec<Vec<f64>>,
-    /// Every degraded-mode event the run surfaced, stamped with segment,
-    /// stack (where applicable) and global run time.
-    pub degraded: Vec<DegradedEvent>,
+pub(crate) enum FaultPosture {
+    /// A healthy fleet run.
+    Healthy,
+    /// The fault-aware controller under the schedule.
+    Aware(FaultSchedule),
+    /// The fault-oblivious baseline under the schedule.
+    Oblivious(FaultSchedule),
 }
 
-impl FaultedFleetOutcome {
-    /// The worst stack's time-peak inter-layer gradient, kelvin — the
-    /// metric the degraded controller is gated on.
-    #[must_use]
-    pub fn worst_stack_peak_gradient_k(&self) -> f64 {
-        self.stacks
-            .iter()
-            .map(StackRun::peak_gradient_k)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Time-peak silicon temperature across the fleet, kelvin.
-    #[must_use]
-    pub fn peak_temperature_k(&self) -> f64 {
-        self.stacks
-            .iter()
-            .map(StackRun::peak_temperature_k)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Total optimizer objective evaluations across the fleet (a known
-    /// stuck valve *saves* evaluations; a silent one burns them).
-    #[must_use]
-    pub fn total_evaluations(&self) -> usize {
-        self.stacks.iter().map(StackRun::evaluations).sum()
-    }
-
-    /// Canonical flat-JSON serialization for the golden fixture
-    /// (`tests/golden/faults_pump_ramp.json`): the same
-    /// full-precision-number format as
-    /// [`TransientOutcome::golden_json`](crate::transient::TransientOutcome::golden_json),
-    /// parsed by the same comparer at 1e-9.
-    #[must_use]
-    pub fn golden_json(&self, scenario: &str) -> String {
-        fn num_array(values: impl Iterator<Item = f64>) -> String {
-            let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-            format!("[{}]", items.join(", "))
+impl FaultPosture {
+    /// The schedule, and whether the controller is aware of it.
+    fn schedule(&self) -> Option<(&FaultSchedule, bool)> {
+        match self {
+            FaultPosture::Healthy => None,
+            FaultPosture::Aware(schedule) => Some((schedule, true)),
+            FaultPosture::Oblivious(schedule) => Some((schedule, false)),
         }
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!(
-            "  \"aware\": {},\n",
-            if self.aware { 1 } else { 0 }
-        ));
-        let allocations: Vec<String> = self
-            .allocations
-            .iter()
-            .map(|a| num_array(a.iter().copied()))
-            .collect();
-        out.push_str(&format!(
-            "  \"allocations\": [{}],\n",
-            allocations.join(", ")
-        ));
-        let per_stack = |f: &dyn Fn(&SegmentMetrics) -> f64| -> String {
-            let rows: Vec<String> = self
-                .stacks
-                .iter()
-                .map(|s| num_array(s.segments.iter().map(f)))
-                .collect();
-            format!("[{}]", rows.join(", "))
+    }
+
+    /// Validates the schedule (if any) for an `n_stacks` fleet.
+    pub(crate) fn validate(&self, n_stacks: usize) -> Result<()> {
+        self.schedule()
+            .map_or(Ok(()), |(schedule, _)| schedule.validate(n_stacks))
+    }
+
+    /// The flow shares segment `seg` runs at, from the feedback `gradients`
+    /// of the previous segment (zeros before segment 0). Aware lanes
+    /// allocate what the pump delivers at the segment midpoint, against the
+    /// relaxed valve band when that is infeasible; oblivious lanes get the
+    /// nominal uniform share times the pump factor.
+    pub(crate) fn shares(
+        &self,
+        options: &FleetOptions,
+        seg: usize,
+        gradients: &[f64],
+        context: Option<&PredictiveContext<'_>>,
+        degraded: &mut Vec<DegradedEvent>,
+    ) -> Result<Vec<f64>> {
+        let Some((schedule, aware)) = self.schedule() else {
+            return allocate_with(options.allocation, &options.budget, gradients, context);
         };
-        out.push_str(&format!(
-            "  \"segment_gradient_k\": {},\n",
-            per_stack(&|m| m.peak_gradient_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_temperature_k\": {},\n",
-            per_stack(&|m| m.peak_temperature_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_evaluations\": {},\n",
-            per_stack(&|m| m.evaluations as f64)
-        ));
-        // One (code, segment, stack, time) quadruple per degraded event;
-        // -1 encodes "not applicable".
-        let events: Vec<String> = self
-            .degraded
-            .iter()
-            .map(|e| {
-                num_array(
-                    [
-                        f64::from(e.kind.code()),
-                        e.segment.map_or(-1.0, |s| s as f64),
-                        e.stack.map_or(-1.0, |s| s as f64),
-                        e.time_seconds,
-                    ]
-                    .into_iter(),
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  \"degraded_events\": [{}],\n",
-            events.join(", ")
-        ));
-        out.push_str(&format!(
-            "  \"worst_gradient_k\": {:e}\n",
-            self.worst_stack_peak_gradient_k()
-        ));
-        out.push_str("}\n");
-        out
+        let n = gradients.len();
+        let seg_seconds = options.segment_seconds();
+        let factor = schedule.pump_factor((seg as f64 + 0.5) * seg_seconds);
+        if !aware {
+            // The pump delivers what it delivers, split by the
+            // healthy-design static provisioning.
+            return Ok(vec![options.budget.uniform_share(n) * factor; n]);
+        }
+        let mut effective = PumpBudget {
+            total_scale: options.budget.total_scale * factor,
+            ..options.budget
+        };
+        match effective.validate_at(n, Some(seg)) {
+            Ok(()) => {}
+            Err(e @ CoreError::BudgetInfeasible { .. }) => {
+                effective = effective.clamped_feasible(n);
+                record(
+                    degraded,
+                    DegradedEvent {
+                        kind: DegradedKind::BudgetClamped,
+                        segment: Some(seg),
+                        stack: None,
+                        time_seconds: seg as f64 * seg_seconds,
+                        detail: format!(
+                            "{e}; allocating against the relaxed band [{}, {}]",
+                            effective.min_scale, effective.max_scale
+                        ),
+                    },
+                );
+            }
+            Err(e) => return Err(e),
+        }
+        allocate_with(options.allocation, &effective, gradients, context)
+    }
+
+    /// `stack`'s fault conditions over segment `seg`, sampled at the
+    /// segment midpoint.
+    pub(crate) fn stack_faults(
+        &self,
+        options: &FleetOptions,
+        stack: usize,
+        seg: usize,
+    ) -> SegmentFaults {
+        let Some((schedule, aware)) = self.schedule() else {
+            return SegmentFaults::default();
+        };
+        let t_mid = (seg as f64 + 0.5) * options.segment_seconds();
+        SegmentFaults {
+            inlet_delta_k: schedule.inlet_delta_k(stack, t_mid),
+            inlet_known: aware,
+            valve: match (schedule.valve_stuck(stack, t_mid), aware) {
+                (false, _) => ValveMode::Healthy,
+                (true, true) => ValveMode::StuckKnown,
+                (true, false) => ValveMode::StuckSilent,
+            },
+            tolerant: true,
+        }
+    }
+
+    /// The feedback the allocator sees at the boundary after segment `seg`.
+    /// Only aware lanes patch the `measured` gradients: a dropped stack
+    /// holds its `last_good` value, excursion-contaminated measurements
+    /// become the clean-fleet mean, and the rest get the seeded sensor
+    /// noise.
+    pub(crate) fn feedback(
+        &self,
+        options: &FleetOptions,
+        seg: usize,
+        measured: Vec<f64>,
+        last_good: &mut [f64],
+        degraded: &mut Vec<DegradedEvent>,
+    ) -> Vec<f64> {
+        let Some((schedule, true)) = self.schedule() else {
+            return measured;
+        };
+        let n = measured.len();
+        let seg_seconds = options.segment_seconds();
+        let t_mid = (seg as f64 + 0.5) * seg_seconds;
+        let t_boundary = (seg + 1) as f64 * seg_seconds;
+        // A known inlet excursion makes a stack's gradient measurement
+        // uninformative — the hot inlet *suppresses* the inter-layer
+        // gradient while active, and the segment after it ends carries a
+        // transient flush spike as the stored heat is swept out. Chasing
+        // either steers the allocator exactly wrong, so measurements from
+        // the excursion window plus one flush segment are treated as
+        // contaminated and replaced by the clean-fleet mean below.
+        let prev_mid = (seg as f64 - 0.5) * seg_seconds;
+        let mut feedback = vec![0.0; n];
+        let mut contaminated = Vec::new();
+        for i in 0..n {
+            if schedule.feedback_dropped(i, t_boundary) {
+                feedback[i] = last_good[i];
+                record(
+                    degraded,
+                    DegradedEvent {
+                        kind: DegradedKind::FeedbackDropped,
+                        segment: Some(seg + 1),
+                        stack: Some(i),
+                        time_seconds: t_boundary,
+                        detail: format!(
+                            "gradient feedback dropped; reusing last good measurement {:.3} K",
+                            last_good[i]
+                        ),
+                    },
+                );
+            } else if schedule.inlet_delta_k(i, t_mid) > 0.0
+                || (seg > 0 && schedule.inlet_delta_k(i, prev_mid) > 0.0)
+            {
+                contaminated.push(i);
+            } else {
+                let noise = schedule.feedback_noise_k(seg + 1, i);
+                feedback[i] = (measured[i] + noise).max(0.0);
+                last_good[i] = feedback[i];
+            }
+        }
+        if !contaminated.is_empty() {
+            // Uninformative prior: a contaminated stack allocates like an
+            // average one. All-contaminated degenerates to all-zero
+            // feedback, which the waterfill maps to the uniform split.
+            let clean = n - contaminated.len();
+            let mean = if clean == 0 {
+                0.0
+            } else {
+                feedback.iter().sum::<f64>() / clean as f64
+            };
+            for &i in &contaminated {
+                feedback[i] = mean;
+            }
+        }
+        if schedule.noise_amplitude_k() > 0.0 {
+            record(
+                degraded,
+                DegradedEvent {
+                    kind: DegradedKind::FeedbackNoisy,
+                    segment: Some(seg + 1),
+                    stack: None,
+                    time_seconds: t_boundary,
+                    detail: format!(
+                        "gradient feedback perturbed by ±{} K before allocation",
+                        schedule.noise_amplitude_k()
+                    ),
+                },
+            );
+        }
+        feedback
     }
 }
 
-/// Runs a fleet of stacks through a [`FaultSchedule`].
-///
-/// Time is cut into reallocation segments exactly like
-/// [`run_fleet`](crate::fleet::run_fleet); each segment samples the
-/// schedule at its midpoint and runs every stack through
-/// [`ModulationController::run_faulted`](crate::transient::ModulationController::run_faulted)
-/// at its granted flow share, the thermal state carried over exactly across
-/// reallocations.
+/// Records a fleet-level degraded event in the run's list and, simulation
+/// time stamped, in the observability event log.
+fn record(degraded: &mut Vec<DegradedEvent>, event: DegradedEvent) {
+    obs::event(
+        event.kind.label(),
+        format!("t={:.6} s: {}", event.time_seconds, event.detail),
+    );
+    degraded.push(event);
+}
+
+/// One faulted run as a fleet lane. The oblivious baseline provisions
+/// statically, so it runs as a [`BudgetPolicy::Uniform`] lane.
+fn faulted_lane(
+    options: &FleetOptions,
+    schedule: &FaultSchedule,
+    aware: bool,
+    dedup_group: usize,
+) -> FleetLane {
+    let schedule = schedule.clone();
+    let (allocation, posture) = if aware {
+        (options.allocation, FaultPosture::Aware(schedule))
+    } else {
+        (BudgetPolicy::Uniform, FaultPosture::Oblivious(schedule))
+    };
+    FleetLane {
+        options: FleetOptions {
+            allocation,
+            ..options.clone()
+        },
+        posture,
+        dedup_group,
+    }
+}
+
+/// Runs a fleet of stacks through a [`FaultSchedule`]: one lane of the
+/// segmented fleet loop [`run_fleet`](crate::fleet::run_fleet) runs, its
+/// stacks fanned out across [`FleetOptions::mode`]'s workers and each
+/// segment sampling the schedule at its midpoint.
 ///
 /// With `aware = true` the controller runs the full graceful-degradation
-/// path: per-segment budget re-validation
-/// ([`PumpBudget::validate_at`]) with valve-band clamping when the decayed
-/// budget leaves the feasible band, allocation by
-/// [`FleetOptions::allocation`] on the gradient feedback (noise-perturbed;
-/// dropouts hold the last good measurement; measurements contaminated by a
-/// known inlet excursion — suppressed while the hot inlet is active,
-/// spiking during the post-excursion flush — are replaced by the
+/// path: per-segment budget re-validation ([`PumpBudget::validate_at`])
+/// with valve-band clamping when the decayed budget leaves the feasible
+/// band, allocation by [`FleetOptions::allocation`] on patched gradient
+/// feedback (noise-perturbed; dropouts hold the last good measurement;
+/// measurements contaminated by a known inlet excursion are replaced by the
 /// clean-fleet mean), known-stuck valves skipping their epoch optimizer,
-/// and true-inlet optimization under excursions. With `aware = false` the
-/// run models the fault-oblivious baseline: static uniform provisioning
-/// from the *nominal* budget, physically rescaled by the pump decay, with
+/// and true-inlet optimization under excursions. Under
+/// [`FaultSchedule::healthy`] it is bitwise the healthy fleet run. With
+/// `aware = false` the run models the fault-oblivious baseline: static
+/// uniform provisioning from the *nominal* budget (reported as
+/// [`BudgetPolicy::Uniform`]), physically rescaled by the pump decay, with
 /// the controller optimizing against the nominal inlet and commanding a
 /// plant whose valves may silently ignore it.
 ///
-/// The loop is strictly serial — one scenario run is the unit of
-/// parallelism ([`run_faults_sweep`]) — and every fault query is a pure
-/// function of `(schedule, time)`, so outcomes are bitwise independent of
-/// worker count.
+/// Every fault query is a pure function of `(schedule, time)`, so outcomes
+/// — degraded events included — are bitwise independent of worker count.
 ///
 /// # Errors
 ///
@@ -691,264 +797,39 @@ pub fn run_faulted_fleet(
     options: &FleetOptions,
     schedule: &FaultSchedule,
     aware: bool,
-) -> Result<FaultedFleetOutcome> {
-    let n = stacks.len();
-    if n == 0 {
-        return Err(CoreError::InvalidConfig {
-            what: "a faulted fleet needs at least one stack".into(),
-        });
-    }
-    schedule.validate(n)?;
-    options.budget.validate(n)?;
-    if options.segments_per_phase == 0 {
-        return Err(CoreError::InvalidConfig {
-            what: "segments_per_phase must be ≥ 1".into(),
-        });
-    }
-    let seg_seconds = options.phase_seconds / options.segments_per_phase as f64;
-    if !(seg_seconds.is_finite() && seg_seconds >= options.config.dt_seconds) {
-        return Err(CoreError::InvalidConfig {
-            what: format!(
-                "a reallocation segment of {seg_seconds} s is shorter than one {} s step",
-                options.config.dt_seconds
-            ),
-        });
-    }
-    let archs: Vec<Architecture> = stacks.iter().map(|s| s.arch.architecture()).collect();
-    let segmented: Vec<Vec<_>> = stacks
+) -> Result<FleetOutcome> {
+    let lanes = [faulted_lane(options, schedule, aware, 0)];
+    let mut outcomes = run_fleet_lanes(stacks, &lanes)?;
+    Ok(outcomes.pop().expect("one lane in, one outcome out"))
+}
+
+/// Canonical flat-JSON serialization of a faulted fleet run for the golden
+/// fixture (`tests/golden/faults_pump_ramp.json`): the fleet fixture's
+/// channels ([`FleetOutcome::golden_json`]) under an `aware` header, with
+/// one `(code, segment, stack, time)` quadruple per degraded event (-1
+/// encodes "not applicable").
+#[must_use]
+pub fn golden_json(outcome: &FleetOutcome, scenario: &str, aware: bool) -> String {
+    let events: Vec<String> = outcome
+        .degraded
         .iter()
-        .zip(&archs)
-        .map(|(s, arch)| {
-            let trace = s.trace.trace(
-                arch,
-                options.phase_seconds,
-                options.config.nx,
-                options.config.nz,
-            );
-            crate::fleet::segment_traces(&trace, options.segments_per_phase)
+        .map(|e| {
+            golden_num_array(
+                [
+                    f64::from(e.kind.code()),
+                    e.segment.map_or(-1.0, |s| s as f64),
+                    e.stack.map_or(-1.0, |s| s as f64),
+                    e.time_seconds,
+                ]
+                .into_iter(),
+            )
         })
         .collect();
-    let n_segments = segmented[0].len();
-    if let Some((i, bad)) = segmented
-        .iter()
-        .enumerate()
-        .find(|(_, s)| s.len() != n_segments)
-    {
-        return Err(CoreError::InvalidConfig {
-            what: format!(
-                "fleet traces must align: stack 0 has {n_segments} segments, stack {i} has {}",
-                bad.len()
-            ),
-        });
-    }
-
-    let mut degraded: Vec<DegradedEvent> = Vec::new();
-    let nominal_share = options.budget.uniform_share(n);
-    // The allocation the upcoming segment `seg` runs at, from the feedback
-    // gradients measured over the previous one (zeros before segment 0).
-    let alloc_for =
-        |seg: usize, gradients: &[f64], degraded: &mut Vec<DegradedEvent>| -> Result<Vec<f64>> {
-            let t_mid = (seg as f64 + 0.5) * seg_seconds;
-            let factor = schedule.pump_factor(t_mid);
-            if !aware {
-                // Fault-oblivious: the pump delivers what it delivers, split by
-                // the healthy-design static provisioning.
-                return Ok(vec![nominal_share * factor; n]);
-            }
-            let mut effective = PumpBudget {
-                total_scale: options.budget.total_scale * factor,
-                min_scale: options.budget.min_scale,
-                max_scale: options.budget.max_scale,
-            };
-            match effective.validate_at(n, Some(seg)) {
-                Ok(()) => {}
-                Err(e @ CoreError::BudgetInfeasible { .. }) => {
-                    effective = effective.clamped_feasible(n);
-                    let event = DegradedEvent {
-                        kind: DegradedKind::BudgetClamped,
-                        segment: Some(seg),
-                        stack: None,
-                        time_seconds: seg as f64 * seg_seconds,
-                        detail: format!(
-                            "{e}; allocating against the relaxed band [{}, {}]",
-                            effective.min_scale, effective.max_scale
-                        ),
-                    };
-                    obs::event(
-                        event.kind.label(),
-                        format!("t={:.6} s: {}", event.time_seconds, event.detail),
-                    );
-                    degraded.push(event);
-                }
-                Err(e) => return Err(e),
-            }
-            allocate(options.allocation, &effective, gradients)
-        };
-
-    let mut allocs = alloc_for(0, &vec![0.0; n], &mut degraded)?;
-    let mut carries: Vec<Option<ResumeState>> = vec![None; n];
-    let mut per_stack: Vec<Vec<SegmentMetrics>> = vec![Vec::with_capacity(n_segments); n];
-    let mut allocations: Vec<Vec<f64>> = Vec::with_capacity(n_segments);
-    // The allocator's view of each stack's last good measurement (for
-    // dropout patching).
-    let mut last_feedback = vec![0.0; n];
-
-    // `seg` drives the fault-schedule clock and indexes several per-stack
-    // tables at once, so the range loop reads clearer than an iterator.
-    #[allow(clippy::needless_range_loop)]
-    for seg in 0..n_segments {
-        let t_mid = (seg as f64 + 0.5) * seg_seconds;
-        let mut measured = vec![0.0; n];
-        for i in 0..n {
-            let stuck = schedule.valve_stuck(i, t_mid);
-            let delta = schedule.inlet_delta_k(i, t_mid);
-            let base = options.config.with_flow_scale(allocs[i])?;
-            let plant_config = base.with_inlet_offset(delta)?;
-            let faults = SegmentFaults {
-                inlet_delta_k: delta,
-                inlet_known: aware,
-                valve: match (stuck, aware) {
-                    (false, _) => ValveMode::Healthy,
-                    (true, true) => ValveMode::StuckKnown,
-                    (true, false) => ValveMode::StuckSilent,
-                },
-                tolerant: true,
-            };
-            let policy = ModulationPolicy::Modulated(options.policy);
-            let (outcome, resume) = if aware {
-                // Aware: the controller's belief *is* the plant (true
-                // inlet, true flow share).
-                MpsocModulated::for_arch(&archs[i], plant_config)?
-                    .controller(policy)?
-                    .run_faulted(&segmented[i][seg], carries[i].clone(), &faults, None)?
-            } else {
-                // Oblivious: the controller optimizes against the nominal
-                // inlet while the stepped plant runs the true one.
-                let plant = MpsocModulated::for_arch(&archs[i], plant_config)?;
-                MpsocModulated::for_arch(&archs[i], base)?
-                    .controller(policy)?
-                    .run_faulted(
-                        &segmented[i][seg],
-                        carries[i].clone(),
-                        &faults,
-                        Some(&plant),
-                    )?
-            };
-            for event in outcome.degraded.iter().cloned() {
-                degraded.push(DegradedEvent {
-                    segment: Some(seg),
-                    stack: Some(i),
-                    time_seconds: seg as f64 * seg_seconds + event.time_seconds,
-                    ..event
-                });
-            }
-            measured[i] = outcome.peak_gradient_k();
-            per_stack[i].push(SegmentMetrics {
-                segment: seg,
-                phase: segmented[i][seg].phases()[0].label.clone(),
-                flow_scale: allocs[i],
-                peak_gradient_k: outcome.peak_gradient_k(),
-                peak_temperature_k: outcome.peak_temperature_k(),
-                epochs: outcome.epochs.len(),
-                epochs_adopted: outcome.epochs_adopted(),
-                evaluations: outcome.total_evaluations(),
-            });
-            carries[i] = Some(resume);
-        }
-        allocations.push(std::mem::take(&mut allocs));
-        if seg + 1 < n_segments {
-            let t_boundary = (seg + 1) as f64 * seg_seconds;
-            let mut feedback = vec![0.0; n];
-            if aware {
-                // A known inlet excursion makes a stack's gradient
-                // measurement uninformative — the hot inlet *suppresses*
-                // the inter-layer gradient while active, and the segment
-                // after it ends carries a transient flush spike as the
-                // stored heat is swept out. Chasing either steers the
-                // allocator exactly wrong, so measurements from the
-                // excursion window plus one flush segment are treated as
-                // contaminated and replaced by the clean-fleet mean below.
-                let prev_mid = (seg as f64 - 0.5) * seg_seconds;
-                let mut contaminated = Vec::new();
-                for i in 0..n {
-                    if schedule.feedback_dropped(i, t_boundary) {
-                        feedback[i] = last_feedback[i];
-                        let event = DegradedEvent {
-                            kind: DegradedKind::FeedbackDropped,
-                            segment: Some(seg + 1),
-                            stack: Some(i),
-                            time_seconds: t_boundary,
-                            detail: format!(
-                                "gradient feedback dropped; reusing last good measurement \
-                                 {:.3} K",
-                                last_feedback[i]
-                            ),
-                        };
-                        obs::event(
-                            event.kind.label(),
-                            format!("t={:.6} s: {}", event.time_seconds, event.detail),
-                        );
-                        degraded.push(event);
-                    } else if schedule.inlet_delta_k(i, t_mid) > 0.0
-                        || (seg > 0 && schedule.inlet_delta_k(i, prev_mid) > 0.0)
-                    {
-                        contaminated.push(i);
-                    } else {
-                        let noise = schedule.feedback_noise_k(seg + 1, i);
-                        feedback[i] = (measured[i] + noise).max(0.0);
-                        last_feedback[i] = feedback[i];
-                    }
-                }
-                if !contaminated.is_empty() {
-                    // Uninformative prior: a contaminated stack allocates
-                    // like an average one. All-contaminated degenerates to
-                    // all-zero feedback, which the waterfill maps to the
-                    // uniform split.
-                    let clean = n - contaminated.len();
-                    let mean = if clean == 0 {
-                        0.0
-                    } else {
-                        feedback.iter().sum::<f64>() / clean as f64
-                    };
-                    for &i in &contaminated {
-                        feedback[i] = mean;
-                    }
-                }
-                if schedule.noise_amplitude_k() > 0.0 {
-                    let event = DegradedEvent {
-                        kind: DegradedKind::FeedbackNoisy,
-                        segment: Some(seg + 1),
-                        stack: None,
-                        time_seconds: t_boundary,
-                        detail: format!(
-                            "gradient feedback perturbed by ±{} K before allocation",
-                            schedule.noise_amplitude_k()
-                        ),
-                    };
-                    obs::event(
-                        event.kind.label(),
-                        format!("t={:.6} s: {}", event.time_seconds, event.detail),
-                    );
-                    degraded.push(event);
-                }
-            }
-            allocs = alloc_for(seg + 1, &feedback, &mut degraded)?;
-        }
-    }
-
-    Ok(FaultedFleetOutcome {
-        aware,
-        stacks: stacks
-            .iter()
-            .zip(per_stack)
-            .map(|(spec, segments)| StackRun {
-                spec: spec.clone(),
-                segments,
-            })
-            .collect(),
-        allocations,
-        degraded,
-    })
+    outcome.golden_document(
+        scenario,
+        &format!("\"aware\": {}", u8::from(aware)),
+        &[("degraded_events", format!("[{}]", events.join(", ")))],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,8 +916,9 @@ pub struct FaultsSweepOptions {
     /// Base fleet-run options shared by every scenario.
     /// [`FleetOptions::allocation`] is the *aware* controller's policy (the
     /// oblivious baseline always provisions uniformly);
-    /// [`FleetOptions::mode`] drives the scenario-level fan-out (each
-    /// scenario run is itself serial).
+    /// [`FleetOptions::mode`] drives the wavefront fan-out: every
+    /// (scenario × posture × stack) segment of one reallocation wavefront
+    /// shares one pool of workers.
     pub fleet: FleetOptions,
     /// Scenarios to run.
     pub scenarios: Vec<FaultScenario>,
@@ -1064,9 +946,9 @@ pub struct FaultsRow {
     /// The scenario.
     pub scenario: FaultScenario,
     /// The fault-aware run.
-    pub aware: FaultedFleetOutcome,
+    pub aware: FleetOutcome,
     /// The fault-oblivious baseline run.
-    pub oblivious: FaultedFleetOutcome,
+    pub oblivious: FleetOutcome,
 }
 
 impl FaultsRow {
@@ -1091,7 +973,7 @@ pub struct FaultsReport {
     /// The declared excursion bound the rows are gated against
     /// ([`EXCURSION_BOUND`]).
     pub excursion_bound: f64,
-    /// Worker threads the scenario fan-out actually used.
+    /// Worker threads the wavefront fan-out actually used.
     pub workers: usize,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
@@ -1138,13 +1020,16 @@ impl FaultsReport {
 
 /// Runs every scenario of `options` — each under the fault-aware
 /// controller *and* the fault-oblivious baseline — and collects the
-/// report. The `(scenario, mode)` units fan out across worker threads with
-/// the workspace-wide guarantee: each unit is a pure function, so parallel
-/// and serial sweeps are bitwise identical.
+/// report. The `(scenario, posture)` runs are the lanes of **one**
+/// wavefront evaluation (each its own deduplication group, since faults
+/// make even segment 0 scenario-specific), so every (lane × stack) segment
+/// of a reallocation wavefront shares one worker fan-out, with the
+/// workspace-wide guarantee that parallel and serial sweeps are bitwise
+/// identical.
 ///
 /// # Errors
 ///
-/// Propagates the first [`run_faulted_fleet`] failure in grid order.
+/// Propagates the first fleet-run failure in (scenario, posture) order.
 pub fn run_faults_sweep(
     stacks: &[StackSpec],
     options: &FaultsSweepOptions,
@@ -1164,31 +1049,28 @@ pub fn run_faults_sweep(
             options.fleet.config.nz,
         )
         .total_duration_seconds();
-    let units: Vec<(FaultScenario, bool)> = options
+    let lanes: Vec<FleetLane> = options
         .scenarios
         .iter()
-        .flat_map(|&s| [(s, true), (s, false)])
-        .collect();
-    let (outcomes, workers, wall) = run_variant_sweep(
-        &units,
-        options.fleet.mode.resolved_workers(),
-        |&(scenario, aware)| {
-            let side = if aware { "aware" } else { "oblivious" };
-            format!("{} ({side})", scenario.label())
-        },
-        |&(scenario, aware)| {
+        .enumerate()
+        .flat_map(|(k, scenario)| {
             let schedule = scenario.schedule(horizon, stacks.len(), options.seed);
-            run_faulted_fleet(stacks, &options.fleet, &schedule, aware)
-        },
-    )?;
+            [(true, 2 * k), (false, 2 * k + 1)]
+                .map(|(aware, group)| faulted_lane(&options.fleet, &schedule, aware, group))
+        })
+        .collect();
+    let start = Instant::now();
+    let outcomes = run_fleet_lanes(stacks, &lanes)?;
+    let wall = start.elapsed();
+    let workers = outcomes[0].workers;
+    let mut outcomes = outcomes.into_iter();
     let rows = options
         .scenarios
         .iter()
-        .zip(outcomes.chunks(2))
-        .map(|(&scenario, pair)| FaultsRow {
+        .map(|&scenario| FaultsRow {
             scenario,
-            aware: pair[0].clone(),
-            oblivious: pair[1].clone(),
+            aware: outcomes.next().expect("one aware lane per scenario"),
+            oblivious: outcomes.next().expect("one oblivious lane per scenario"),
         })
         .collect();
     Ok(FaultsReport {
@@ -1202,44 +1084,8 @@ pub fn run_faults_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpsoc::{ArchSpec, MpsocConfig, MpsocTraceSpec};
+    use crate::fleet::test_support::{tiny_options, two_stacks};
     use crate::sweep::ExecutionMode;
-    use crate::transient::EpochPolicy;
-    use crate::OptimizationConfig;
-
-    fn tiny_options(n_stacks: usize) -> FleetOptions {
-        let config = MpsocConfig {
-            optimizer: OptimizationConfig {
-                segments: 2,
-                mesh_intervals: 32,
-                ..OptimizationConfig::fast()
-            },
-            nx: 20,
-            nz: 11,
-            n_groups: 2,
-            ..MpsocConfig::fast()
-        };
-        FleetOptions {
-            policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
-            phase_seconds: 6.0 * config.dt_seconds,
-            segments_per_phase: 1,
-            config,
-            ..FleetOptions::fast(n_stacks, ExecutionMode::Serial)
-        }
-    }
-
-    fn two_stacks() -> Vec<StackSpec> {
-        vec![
-            StackSpec {
-                arch: ArchSpec::Arch1,
-                trace: MpsocTraceSpec::avg_to_peak(),
-            },
-            StackSpec {
-                arch: ArchSpec::Arch3,
-                trace: MpsocTraceSpec::avg_to_peak(),
-            },
-        ]
-    }
 
     #[test]
     fn schedule_queries_are_pure_and_validated() {
@@ -1348,24 +1194,34 @@ mod tests {
     #[test]
     fn healthy_faulted_fleet_reports_no_degradation() {
         let stacks = two_stacks();
-        let options = tiny_options(2);
-        let outcome =
-            run_faulted_fleet(&stacks, &options, &FaultSchedule::healthy(), true).unwrap();
-        assert!(outcome.degraded.is_empty());
-        assert_eq!(outcome.allocations.len(), 2, "2 phases × 1 segment");
-        assert_eq!(outcome.stacks.len(), 2);
-        assert!(outcome.worst_stack_peak_gradient_k() > 0.0);
-        assert!(outcome.total_evaluations() > 0);
-        for alloc in &outcome.allocations {
-            let sum: f64 = alloc.iter().sum();
-            assert!((sum - options.budget.total_scale).abs() < 1e-9, "{alloc:?}");
+        // The fault-aware lane under a healthy schedule *is* the healthy
+        // fleet lane, bitwise, for every policy — `Predictive` included,
+        // with its forecast and surrogate.
+        for allocation in BudgetPolicy::all() {
+            let options = FleetOptions {
+                allocation,
+                ..tiny_options(2, ExecutionMode::Serial)
+            };
+            let outcome =
+                run_faulted_fleet(&stacks, &options, &FaultSchedule::healthy(), true).unwrap();
+            let healthy = crate::fleet::run_fleet(&stacks, &options).unwrap();
+            assert_eq!(outcome, healthy, "{allocation:?}");
+            assert!(outcome.degraded.is_empty());
+            assert_eq!(outcome.allocations.len(), 2, "2 phases × 1 segment");
+            assert_eq!(outcome.stacks.len(), 2);
+            assert!(outcome.worst_stack_peak_gradient_k() > 0.0);
+            assert!(outcome.total_evaluations() > 0);
+            for alloc in &outcome.allocations {
+                let sum: f64 = alloc.iter().sum();
+                assert!((sum - options.budget.total_scale).abs() < 1e-9, "{alloc:?}");
+            }
         }
     }
 
     #[test]
     fn deep_pump_ramp_clamps_and_reports() {
         let stacks = two_stacks();
-        let options = tiny_options(2);
+        let options = tiny_options(2, ExecutionMode::Serial);
         // Decay to 40% from t=0: below the 0.5× valve floor, so every
         // post-measurement segment must clamp.
         let schedule = FaultSchedule {
@@ -1406,7 +1262,7 @@ mod tests {
     #[test]
     fn stuck_valve_saves_evaluations_when_known() {
         let stacks = two_stacks();
-        let options = tiny_options(2);
+        let options = tiny_options(2, ExecutionMode::Serial);
         let schedule = FaultSchedule {
             seed: 1,
             events: vec![FaultEvent::StuckValve {
@@ -1435,7 +1291,7 @@ mod tests {
     #[test]
     fn faulted_runs_never_panic_and_stay_above_inlet() {
         let stacks = two_stacks();
-        let options = tiny_options(2);
+        let options = tiny_options(2, ExecutionMode::Serial);
         let inlet_k = options.config.params.inlet_temperature.as_kelvin();
         for seed in 0..6 {
             let horizon = 2.0 * options.phase_seconds;
@@ -1459,28 +1315,63 @@ mod tests {
     #[test]
     fn faults_sweep_is_deterministic_across_workers() {
         let stacks = two_stacks();
-        let fast = |mode| {
-            let mut options = FaultsSweepOptions {
-                fleet: tiny_options(2),
-                scenarios: vec![FaultScenario::Healthy, FaultScenario::PumpRamp],
-                seed: FAULTS_DEFAULT_SEED,
+        let parallel = |workers| ExecutionMode::Parallel {
+            workers: std::num::NonZeroUsize::new(workers),
+        };
+        let fast = |mode| FaultsSweepOptions {
+            fleet: tiny_options(2, mode),
+            scenarios: vec![FaultScenario::Healthy, FaultScenario::PumpRamp],
+            seed: FAULTS_DEFAULT_SEED,
+        };
+        // Every scenario's faults in one schedule — a pump ramp, noisy and
+        // dropped feedback, a stuck valve and an inlet excursion — on a
+        // four-segment predictive fleet.
+        let mixed_options = FleetOptions {
+            allocation: BudgetPolicy::Predictive,
+            segments_per_phase: 2,
+            ..tiny_options(2, ExecutionMode::Serial)
+        };
+        let horizon = 2.0 * mixed_options.phase_seconds;
+        let mixed = FaultSchedule {
+            seed: FAULTS_DEFAULT_SEED,
+            events: FaultScenario::all()
+                .iter()
+                .flat_map(|s| s.schedule(horizon, 2, FAULTS_DEFAULT_SEED).events)
+                .collect(),
+        };
+        let run_mixed = |mode| {
+            let options = FleetOptions {
+                mode,
+                ..mixed_options.clone()
             };
-            options.fleet.mode = mode;
-            options
+            run_faulted_fleet(&stacks, &options, &mixed, true).unwrap()
         };
         let serial = run_faults_sweep(&stacks, &fast(ExecutionMode::Serial)).unwrap();
         assert_eq!(serial.rows.len(), 2);
         assert_eq!(serial.workers, 1);
+        let serial_mixed = run_mixed(ExecutionMode::Serial);
+        for kind in [
+            DegradedKind::ValveHeld,
+            DegradedKind::InletExcursion,
+            DegradedKind::FeedbackDropped,
+            DegradedKind::FeedbackNoisy,
+        ] {
+            assert!(
+                serial_mixed.degraded.iter().any(|e| e.kind == kind),
+                "{kind:?} missing from {:?}",
+                serial_mixed.degraded
+            );
+        }
         for workers in [2usize, 4] {
-            let parallel = run_faults_sweep(
-                &stacks,
-                &fast(ExecutionMode::Parallel {
-                    workers: std::num::NonZeroUsize::new(workers),
-                }),
-            )
-            .unwrap();
-            // PartialEq on FaultsRow compares every f64 exactly.
-            assert_eq!(serial.rows, parallel.rows, "workers = {workers}");
+            let parallel_report = run_faults_sweep(&stacks, &fast(parallel(workers))).unwrap();
+            // Equality compares every f64 exactly, and the degraded events
+            // in order.
+            assert_eq!(serial.rows, parallel_report.rows, "workers = {workers}");
+            assert_eq!(
+                serial_mixed,
+                run_mixed(parallel(workers)),
+                "workers = {workers}"
+            );
         }
         assert_eq!(
             serial.healthy_reference_k().unwrap(),
@@ -1492,11 +1383,11 @@ mod tests {
     #[test]
     fn golden_json_shape() {
         let stacks = two_stacks();
-        let options = tiny_options(2);
+        let options = tiny_options(2, ExecutionMode::Serial);
         let schedule =
             FaultScenario::PumpRamp.schedule(2.0 * options.phase_seconds, 2, FAULTS_DEFAULT_SEED);
         let outcome = run_faulted_fleet(&stacks, &options, &schedule, true).unwrap();
-        let json = outcome.golden_json("unit");
+        let json = golden_json(&outcome, "unit", true);
         assert!(json.contains("\"schema_version\": 1"));
         assert!(json.contains("\"scenario\": \"unit\""));
         assert!(json.contains("\"aware\": 1"));

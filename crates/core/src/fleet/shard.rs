@@ -2,13 +2,15 @@
 //! reallocation.
 
 use super::allocator::{
-    allocate, allocate_with, forecast_is_informative, BudgetPolicy, PredictiveContext, PumpBudget,
-    SurrogateModel,
+    forecast_is_informative, BudgetPolicy, PredictiveContext, PumpBudget, SurrogateModel,
 };
-use crate::mpsoc::{ArchSpec, MpsocModulated, MpsocTraceSpec};
+use crate::faults::{DegradedEvent, FaultPosture, SegmentFaults};
+use crate::mpsoc::{ArchSpec, MpsocModulated, MpsocTrace, MpsocTraceSpec};
 use crate::obs;
-use crate::sweep::{catch_unit, parallel_map, ExecutionMode};
-use crate::transient::{EpochPolicy, ModulationPolicy, ResumeState};
+use crate::sweep::{parallel_map, ExecutionMode};
+use crate::transient::{
+    golden_num_array, EpochPolicy, ModulationPolicy, ResumeState, TransientOutcome,
+};
 use crate::{mpsoc::MpsocConfig, CoreError, CsvTable, Result};
 use liquamod_floorplan::arch::Architecture;
 use liquamod_floorplan::trace::{Phase, PowerTrace};
@@ -59,6 +61,11 @@ pub struct FleetOptions {
 }
 
 impl FleetOptions {
+    /// Duration of one reallocation segment, seconds.
+    pub(crate) fn segment_seconds(&self) -> f64 {
+        self.phase_seconds / self.segments_per_phase as f64
+    }
+
     /// The fast configuration for a fleet of `n_stacks`: the MPSoC bench
     /// stack resolution, an 8-step epoch cadence, 16-step phases cut into
     /// two reallocation segments, and a nominal (average scale 1.0) pump
@@ -161,7 +168,14 @@ pub struct PredictiveDiagnostics {
     pub mean_abs_slope_k_per_scale: f64,
 }
 
-/// The collected result of one fleet run.
+/// The collected result of one fleet run — healthy
+/// ([`run_fleet`]) or under a fault schedule
+/// ([`run_faulted_fleet`](crate::faults::run_faulted_fleet)).
+///
+/// Equality compares what the run computed — policy, trajectories,
+/// allocations, predictive diagnostics and degraded events — and ignores
+/// the measurement fields (`workers`, `wall`, `segment_wall_seconds`), so
+/// the bitwise parallel == serial guarantee is checkable by plain `==`.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// The allocation policy the run used.
@@ -187,6 +201,20 @@ pub struct FleetOutcome {
     /// Predictive-allocator diagnostics — `Some` exactly when
     /// [`FleetOutcome::allocation`] is [`BudgetPolicy::Predictive`].
     pub predictive: Option<PredictiveDiagnostics>,
+    /// Every degraded-mode event the run surfaced, stamped with segment,
+    /// stack (where applicable) and global run time — always empty for a
+    /// healthy run.
+    pub degraded: Vec<DegradedEvent>,
+}
+
+impl PartialEq for FleetOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        self.allocation == other.allocation
+            && self.stacks == other.stacks
+            && self.allocations == other.allocations
+            && self.predictive == other.predictive
+            && self.degraded == other.degraded
+    }
 }
 
 impl FleetOutcome {
@@ -271,18 +299,38 @@ impl FleetOutcome {
     /// parsed by the same comparer at 1e-9.
     #[must_use]
     pub fn golden_json(&self, scenario: &str) -> String {
-        fn num_array(values: impl Iterator<Item = f64>) -> String {
-            let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-            format!("[{}]", items.join(", "))
-        }
+        let diag = self.predictive.unwrap_or_default();
+        self.golden_document(
+            scenario,
+            &format!("\"policy\": \"{}\"", self.allocation.label()),
+            &[
+                ("forecast_hits", format!("{:e}", diag.forecast_hits as f64)),
+                (
+                    "surrogate_refits",
+                    format!("{:e}", diag.surrogate_refits as f64),
+                ),
+            ],
+        )
+    }
+
+    /// The golden-fixture document every fleet-run fixture shares: the
+    /// schema and scenario, one schema-specific `header` line, the
+    /// allocations and per-stack segment channels, the schema-specific
+    /// `tail` entries, and the headline worst gradient.
+    pub(crate) fn golden_document(
+        &self,
+        scenario: &str,
+        header: &str,
+        tail: &[(&str, String)],
+    ) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema_version\": 1,\n");
         out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", self.allocation.label()));
+        out.push_str(&format!("  {header},\n"));
         let allocations: Vec<String> = self
             .allocations
             .iter()
-            .map(|a| num_array(a.iter().copied()))
+            .map(|a| golden_num_array(a.iter().copied()))
             .collect();
         out.push_str(&format!(
             "  \"allocations\": [{}],\n",
@@ -292,7 +340,7 @@ impl FleetOutcome {
             let rows: Vec<String> = self
                 .stacks
                 .iter()
-                .map(|s| num_array(s.segments.iter().map(f)))
+                .map(|s| golden_num_array(s.segments.iter().map(f)))
                 .collect();
             format!("[{}]", rows.join(", "))
         };
@@ -308,15 +356,9 @@ impl FleetOutcome {
             "  \"segment_evaluations\": {},\n",
             per_stack(&|m| m.evaluations as f64)
         ));
-        let diag = self.predictive.unwrap_or_default();
-        out.push_str(&format!(
-            "  \"forecast_hits\": {:e},\n",
-            diag.forecast_hits as f64
-        ));
-        out.push_str(&format!(
-            "  \"surrogate_refits\": {:e},\n",
-            diag.surrogate_refits as f64
-        ));
+        for (key, value) in tail {
+            out.push_str(&format!("  \"{key}\": {value},\n"));
+        }
         out.push_str(&format!(
             "  \"worst_gradient_k\": {:e}\n",
             self.worst_stack_peak_gradient_k()
@@ -389,12 +431,12 @@ fn forecast_power_ratio(
 /// Time is cut into *reallocation segments* (`segments_per_phase` per
 /// trace phase, aligned across stacks). Segment 0 always starts from the
 /// uniform split — nothing is measured yet. At every later segment
-/// boundary the allocator ([`allocate`]) re-splits the budget from the
-/// time-peak gradients each stack measured over the previous segment;
-/// within a segment, every stack steps its five-layer two-cavity stack
-/// through the modulation loop at its granted flow share, the thermal
-/// state carried over exactly across reallocations
-/// ([`ModulationController::run_resumed`]).
+/// boundary the allocator ([`allocate`](super::allocate)) re-splits the
+/// budget from the time-peak gradients each stack measured over the
+/// previous segment; within a segment, every stack steps its five-layer
+/// two-cavity stack through the modulation loop at its granted flow share,
+/// the thermal state carried over exactly across reallocations
+/// ([`ModulationController::run_segment`]).
 ///
 /// Stacks fan out across worker threads per segment through the shared
 /// [`parallel_map`] scheduler; the allocator runs between segments on the
@@ -402,7 +444,7 @@ fn forecast_power_ratio(
 /// runs are bitwise identical — the same guarantee as every sweep engine
 /// in the workspace.
 ///
-/// [`ModulationController::run_resumed`]: crate::transient::ModulationController::run_resumed
+/// [`ModulationController::run_segment`]: crate::transient::ModulationController::run_segment
 /// [`parallel_map`]: crate::sweep
 ///
 /// # Errors
@@ -415,36 +457,83 @@ fn forecast_power_ratio(
 pub fn run_fleet(stacks: &[StackSpec], options: &FleetOptions) -> Result<FleetOutcome> {
     let lanes = vec![FleetLane {
         options: options.clone(),
+        posture: FaultPosture::Healthy,
         dedup_group: 0,
     }];
     let mut outcomes = run_fleet_lanes(stacks, &lanes)?;
     Ok(outcomes.pop().expect("one lane in, one outcome out"))
 }
 
-/// One lane of a multi-lane fleet evaluation: a full fleet run's options
-/// plus the segment-0 deduplication group it belongs to.
+/// One lane of a multi-lane fleet evaluation: a full fleet run's options,
+/// the fault posture it runs under, and the segment-0 deduplication group
+/// it belongs to.
 #[derive(Debug, Clone)]
 pub(crate) struct FleetLane {
     /// The lane's full fleet-run configuration.
     pub options: FleetOptions,
+    /// How the lane meets its fault schedule
+    /// ([`FaultPosture::Healthy`] for a plain fleet run).
+    pub posture: FaultPosture,
     /// Lanes sharing a group id must differ **only** in
-    /// [`FleetOptions::allocation`] (checked). The allocation policy cannot
-    /// influence segment 0 — nothing is measured yet, so every policy
-    /// starts from the same uniform split with no carry-over — which makes
-    /// the group's segment-0 (stack × lane) tasks bitwise identical. The
+    /// [`FleetOptions::allocation`] (checked, posture included). The
+    /// allocation policy cannot influence segment 0 — nothing is measured
+    /// yet, so every policy starts from the same uniform split with no
+    /// carry-over — which makes the group's segment-0 (stack × lane) tasks
+    /// bitwise identical. The
     /// scheduler therefore runs them once, on the group's first lane, and
     /// shares the result; the reported metrics (including evaluation
     /// counts) are exactly what each lane would have measured alone.
     pub dedup_group: usize,
 }
 
-/// The wavefront scheduler behind [`run_fleet`],
-/// [`super::report::evaluate_fleet_variant`] and
-/// [`super::report::run_fleet_sweep`]: all lanes advance through
-/// reallocation segment `k` together, and every (lane × stack) task of
-/// wavefront `k` goes through **one** shared [`parallel_map`] fan-out, so
-/// worker threads drain the whole front instead of idling behind the
-/// slowest stack of a single fleet run.
+/// One stack's controller segment at its granted flow `share`: the step
+/// every segmented loop runs — the fleet wavefront's tasks and the serve
+/// pool's batch decisions. Rescales `config` to the share, builds the
+/// architecture's stack family and controller, and runs the segment from
+/// `resume` under `faults` ([`SegmentFaults::default`] for the healthy
+/// plant).
+///
+/// A nonzero inlet excursion runs the stepped plant at the excursed inlet;
+/// the controller's belief follows it only when the excursion is known.
+pub(crate) fn run_stack_segment(
+    arch: &Architecture,
+    config: &MpsocConfig,
+    share: f64,
+    policy: ModulationPolicy,
+    trace: &MpsocTrace,
+    resume: Option<ResumeState>,
+    faults: &SegmentFaults,
+) -> Result<(TransientOutcome, ResumeState)> {
+    let nominal = config.with_flow_scale(share)?;
+    let (belief, plant) = if faults.inlet_delta_k == 0.0 {
+        (nominal, None)
+    } else {
+        let excursed = nominal.with_inlet_offset(faults.inlet_delta_k)?;
+        if faults.inlet_known {
+            (excursed, None)
+        } else {
+            (nominal, Some(MpsocModulated::for_arch(arch, excursed)?))
+        }
+    };
+    MpsocModulated::for_arch(arch, belief)?
+        .controller(policy)?
+        .run_segment(trace, resume, faults, plant.as_ref())
+}
+
+/// The wavefront scheduler — the one segmented fleet loop behind
+/// [`run_fleet`], [`super::report::evaluate_fleet_variant`],
+/// [`super::report::run_fleet_sweep`] and the faulted fleets of
+/// [`crate::faults`]: all lanes advance through reallocation segment `k`
+/// together, and every (lane × stack) task of wavefront `k` goes through
+/// **one** shared [`parallel_map`] fan-out, so worker threads drain the
+/// whole front instead of idling behind the slowest stack of a single
+/// fleet run.
+///
+/// Each lane's [`FaultPosture`] supplies the three places a faulted lane
+/// differs from a healthy one — its segment shares, each stack's
+/// [`SegmentFaults`], and the feedback patch — and the loop calls those
+/// hooks for every lane; the healthy posture's hooks reduce to the plain
+/// allocator on the raw measured gradients.
 ///
 /// The serial joins (metric collection, the allocator's budget re-split)
 /// run between wavefronts on the calling thread, per lane in lane order,
@@ -472,12 +561,13 @@ pub(crate) fn run_fleet_lanes(
     for (l, lane) in lanes.iter().enumerate() {
         let options = &lane.options;
         options.budget.validate(n)?;
+        lane.posture.validate(n)?;
         if options.segments_per_phase == 0 {
             return Err(CoreError::InvalidConfig {
                 what: "segments_per_phase must be ≥ 1".into(),
             });
         }
-        let seg_seconds = options.phase_seconds / options.segments_per_phase as f64;
+        let seg_seconds = options.segment_seconds();
         if !(seg_seconds.is_finite() && seg_seconds >= options.config.dt_seconds) {
             return Err(CoreError::InvalidConfig {
                 what: format!(
@@ -491,7 +581,7 @@ pub(crate) fn run_fleet_lanes(
             Some(&(_, rep)) => {
                 let mut normalized = options.clone();
                 normalized.allocation = lanes[rep].options.allocation;
-                if normalized != lanes[rep].options {
+                if normalized != lanes[rep].options || lane.posture != lanes[rep].posture {
                     return Err(CoreError::InvalidConfig {
                         what: format!(
                             "lanes {rep} and {l} share dedup group {} but differ beyond \
@@ -552,21 +642,30 @@ pub(crate) fn run_fleet_lanes(
     let _run_span = obs::span("fleet.run");
     let start = Instant::now();
     let mut allocations: Vec<Vec<Vec<f64>>> = vec![Vec::with_capacity(n_segments); n_lanes];
+    let mut degraded: Vec<Vec<DegradedEvent>> = vec![Vec::new(); n_lanes];
+    // Segment 0 allocates from all-zero feedback: the uniform split of the
+    // lane's (possibly pump-decayed) budget, whatever the policy.
     let mut allocs: Vec<Vec<f64>> = lanes
         .iter()
-        .map(|lane| allocate(BudgetPolicy::Uniform, &lane.options.budget, &vec![0.0; n]))
+        .zip(&mut degraded)
+        .map(|(lane, events)| {
+            lane.posture
+                .shares(&lane.options, 0, &vec![0.0; n], None, events)
+        })
         .collect::<Result<_>>()?;
     let mut carries: Vec<Vec<Option<ResumeState>>> = vec![vec![None; n]; n_lanes];
     let mut per_stack: Vec<Vec<Vec<SegmentMetrics>>> =
         vec![vec![Vec::with_capacity(n_segments); n]; n_lanes];
     let mut segment_walls: Vec<f64> = Vec::with_capacity(n_segments);
-    // Predictive-lane state: the sensitivity surrogate and the count of
-    // forecast-steered boundaries. Both live on the calling thread and are
-    // updated only in the serial between-wavefront joins, so they inherit
-    // the bitwise parallel == serial guarantee for free.
+    // Per-lane join state: the predictive lanes' sensitivity surrogates and
+    // forecast-steered boundary counts, and each stack's last good
+    // feedback (what a dropout holds). All of it lives on the calling
+    // thread and is updated only in the serial between-wavefront joins, so
+    // it inherits the bitwise parallel == serial guarantee for free.
     let mut surrogates: Vec<SurrogateModel> =
         lanes.iter().map(|_| SurrogateModel::new(n)).collect();
     let mut forecast_hits: Vec<u64> = vec![0; n_lanes];
+    let mut last_good: Vec<Vec<f64>> = vec![vec![0.0; n]; n_lanes];
 
     // Indexing by segment and lane spans several per-lane tables
     // (`segmented`, `allocs`, `carries`, `per_stack`), so range loops read
@@ -585,22 +684,19 @@ pub(crate) fn run_fleet_lanes(
             let _span = obs::lane_span("fleet.segment", l as u32);
             obs::add("fleet.segments", 1);
             let lane = &lanes[l];
-            let config = lane.options.config.with_flow_scale(allocs[l][i])?;
-            let family = MpsocModulated::for_arch(&archs[i], config)?;
-            family
-                .controller(ModulationPolicy::Modulated(lane.options.policy))?
-                .run_resumed(&segmented[l][i][seg], carries[l][i].clone())
+            run_stack_segment(
+                &archs[i],
+                &lane.options.config,
+                allocs[l][i],
+                ModulationPolicy::Modulated(lane.options.policy),
+                &segmented[l][i][seg],
+                carries[l][i].clone(),
+                &lane.posture.stack_faults(&lane.options, i, seg),
+            )
         };
         let task_label =
             |&(l, i): &(usize, usize)| format!("lane {l} {} segment {seg}", stacks[i].label());
-        let results = if workers == 1 {
-            tasks
-                .iter()
-                .map(|t| catch_unit(t, &task_label, &run_one))
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            parallel_map(&tasks, workers, task_label, run_one)?
-        };
+        let results = parallel_map(&tasks, workers, task_label, run_one)?;
         segment_walls.push(seg_start.elapsed().as_secs_f64());
 
         // Merge task results back by index; a wavefront-0 result fans out
@@ -620,10 +716,17 @@ pub(crate) fn run_fleet_lanes(
             merged[l][i] = Some(pair);
         }
         for (l, lane) in lanes.iter().enumerate() {
-            let mut gradients = Vec::with_capacity(n);
+            let seg_seconds = lane.options.segment_seconds();
+            let mut measured = Vec::with_capacity(n);
             for (i, slot) in merged[l].iter_mut().enumerate() {
                 let (outcome, resume) = slot.take().expect("every (lane, stack) task ran");
-                gradients.push(outcome.peak_gradient_k());
+                degraded[l].extend(outcome.degraded.iter().map(|event| DegradedEvent {
+                    segment: Some(seg),
+                    stack: Some(i),
+                    time_seconds: seg as f64 * seg_seconds + event.time_seconds,
+                    ..event.clone()
+                }));
+                measured.push(outcome.peak_gradient_k());
                 per_stack[l][i].push(SegmentMetrics {
                     segment: seg,
                     phase: segmented[l][i][seg].phases()[0].label.clone(),
@@ -636,43 +739,55 @@ pub(crate) fn run_fleet_lanes(
                 });
                 carries[l][i] = Some(resume);
             }
+            // The gradients the allocator sees at the next boundary; the
+            // final segment has no boundary, so nothing is patched there.
+            let last = seg + 1 == n_segments;
+            let gradients = if last {
+                measured
+            } else {
+                lane.posture.feedback(
+                    &lane.options,
+                    seg,
+                    measured,
+                    &mut last_good[l],
+                    &mut degraded[l],
+                )
+            };
             let is_predictive = lane.options.allocation == BudgetPolicy::Predictive;
             if is_predictive {
-                // Feed the (shares, measured gradients) pair of the segment
-                // that just ran back into the lane's surrogate.
+                // Feed the (shares, gradients) pair of the segment that
+                // just ran back into the lane's surrogate.
                 surrogates[l].observe(&allocs[l], &gradients);
             }
             allocations[l].push(std::mem::take(&mut allocs[l]));
-            if seg + 1 < n_segments {
+            if !last {
                 let _alloc_span = obs::span("fleet.allocate");
-                allocs[l] = if is_predictive {
-                    let last_shares = allocations[l]
-                        .last()
-                        .expect("the segment's shares were just pushed");
-                    // The trace is materialized, so the next segment's power
-                    // is known: a full one-step lookahead per stack.
-                    let ratios: Vec<f64> = (0..n)
+                // The trace is materialized, so the next segment's power is
+                // known: a full one-step lookahead per stack.
+                let ratios: Option<Vec<f64>> = is_predictive.then(|| {
+                    (0..n)
                         .map(|i| {
                             forecast_power_ratio(&segmented[l][i][seg], &segmented[l][i][seg + 1])
                         })
-                        .collect();
-                    if forecast_is_informative(&ratios) {
-                        forecast_hits[l] += 1;
-                    }
-                    let ctx = PredictiveContext {
-                        last_shares,
-                        forecast_ratio: Some(&ratios),
-                        surrogate: &surrogates[l],
-                    };
-                    allocate_with(
-                        lane.options.allocation,
-                        &lane.options.budget,
-                        &gradients,
-                        Some(&ctx),
-                    )?
-                } else {
-                    allocate(lane.options.allocation, &lane.options.budget, &gradients)?
-                };
+                        .collect()
+                });
+                if ratios.as_deref().is_some_and(forecast_is_informative) {
+                    forecast_hits[l] += 1;
+                }
+                let ctx = ratios.as_deref().map(|ratios| PredictiveContext {
+                    last_shares: allocations[l]
+                        .last()
+                        .expect("the segment's shares were just pushed"),
+                    forecast_ratio: Some(ratios),
+                    surrogate: &surrogates[l],
+                });
+                allocs[l] = lane.posture.shares(
+                    &lane.options,
+                    seg + 1,
+                    &gradients,
+                    ctx.as_ref(),
+                    &mut degraded[l],
+                )?;
             }
         }
     }
@@ -683,8 +798,9 @@ pub(crate) fn run_fleet_lanes(
         .enumerate()
         .zip(per_stack)
         .zip(allocations)
+        .zip(degraded)
         .map(
-            |(((l, lane), lane_stacks), lane_allocations)| FleetOutcome {
+            |((((l, lane), lane_stacks), lane_allocations), lane_degraded)| FleetOutcome {
                 allocation: lane.options.allocation,
                 stacks: stacks
                     .iter()
@@ -705,17 +821,20 @@ pub(crate) fn run_fleet_lanes(
                         mean_abs_slope_k_per_scale: surrogates[l].mean_abs_slope_k_per_scale(),
                     }
                 }),
+                degraded: lane_degraded,
             },
         )
         .collect())
 }
 
+/// The small-but-real fleet fixtures the fleet and faults unit tests
+/// share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::design::OptimizationConfig;
 
-    pub(super) fn tiny_config() -> MpsocConfig {
+    fn tiny_config() -> MpsocConfig {
         MpsocConfig {
             optimizer: OptimizationConfig {
                 segments: 2,
@@ -729,7 +848,7 @@ mod tests {
         }
     }
 
-    pub(super) fn tiny_options(n_stacks: usize, mode: ExecutionMode) -> FleetOptions {
+    pub(crate) fn tiny_options(n_stacks: usize, mode: ExecutionMode) -> FleetOptions {
         let config = tiny_config();
         FleetOptions {
             policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
@@ -740,7 +859,7 @@ mod tests {
         }
     }
 
-    fn two_stacks() -> Vec<StackSpec> {
+    pub(crate) fn two_stacks() -> Vec<StackSpec> {
         vec![
             StackSpec {
                 arch: ArchSpec::Arch1,
@@ -880,7 +999,7 @@ mod tests {
         let lanes: Vec<FleetLane> = [
             BudgetPolicy::Uniform,
             BudgetPolicy::GradientWaterfill,
-            BudgetPolicy::Greedy,
+            BudgetPolicy::Predictive,
         ]
         .into_iter()
         .map(|allocation| FleetLane {
@@ -888,6 +1007,7 @@ mod tests {
                 allocation,
                 ..base.clone()
             },
+            posture: FaultPosture::Healthy,
             dedup_group: 7,
         })
         .collect();
@@ -919,14 +1039,16 @@ mod tests {
         let lanes = vec![
             FleetLane {
                 options: base.clone(),
+                posture: FaultPosture::Healthy,
                 dedup_group: 0,
             },
             FleetLane {
                 options: FleetOptions {
                     policy: EpochPolicy::FixedCadence { epoch_steps: 3 },
-                    allocation: BudgetPolicy::Greedy,
+                    allocation: BudgetPolicy::Predictive,
                     ..base
                 },
+                posture: FaultPosture::Healthy,
                 dedup_group: 0,
             },
         ];

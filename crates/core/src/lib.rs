@@ -79,8 +79,8 @@ pub use design::{
 pub use error::CoreError;
 pub use faults::{
     run_faulted_fleet, run_faults_sweep, DegradedEvent, DegradedKind, FaultEvent, FaultScenario,
-    FaultSchedule, FaultedFleetOutcome, FaultsReport, FaultsRow, FaultsSweepOptions, SegmentFaults,
-    ValveMode, EXCURSION_BOUND,
+    FaultSchedule, FaultsReport, FaultsRow, FaultsSweepOptions, SegmentFaults, ValveMode,
+    EXCURSION_BOUND,
 };
 pub use fleet::{
     allocate, run_fleet, run_fleet_sweep, BudgetPolicy, FleetGrid, FleetOutcome, FleetReport,

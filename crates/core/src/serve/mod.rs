@@ -14,10 +14,10 @@
 //!   open(arch) ───────────────▶ admit session ──▶ PumpBudget revalidation
 //!   submit(phase) ────────────▶ session queue        (clamp + degrade
 //!                                                     when infeasible)
-//!   drain_batch() ────────────▶ allocate(policy, budget, gradients)
+//!   drain_batch() ────────────▶ allocate_with(policy, budget, gradients, ctx)
 //!                               one task per ready session ──▶ parallel_map
 //!                                 with_flow_scale(share)        (bitwise ==
-//!                                 run_resumed(trace, resume)     serial)
+//!                                 run_segment(trace, resume)     serial)
 //!   ◀─ WidthDecision stream ─── fold results back, id order
 //!   ◀─ DegradedEvent stream ─── evictions, clamps, run events
 //!   snapshot(id) ─────────────▶ SessionSnapshot::to_golden_json
@@ -25,8 +25,8 @@
 //! ```
 //!
 //! Correctness is anchored to the batch path, not re-derived: a phase
-//! streamed through a session is served by the exact
-//! [`ModulationController::run_resumed`] chain the fleet layer uses, so
+//! streamed through a session is served by the exact segment step
+//! ([`ModulationController::run_segment`]) the fleet wavefront runs, so
 //! [`verify_streaming_identity`] can demand the streamed trajectory equal
 //! the one-shot [`ModulationController::run`] **bitwise**, and
 //! [`verify_snapshot_restore`] can demand a session serialized mid-stream
@@ -38,7 +38,7 @@
 //! thing is deterministic under parallel fan-out.
 //!
 //! [`ModulationController::run`]: crate::transient::ModulationController::run
-//! [`ModulationController::run_resumed`]: crate::transient::ModulationController::run_resumed
+//! [`ModulationController::run_segment`]: crate::transient::ModulationController::run_segment
 
 /// Service metrics, re-exported from the shared observability layer
 /// ([`crate::obs`]) where [`LatencyHistogram`]/[`SessionMetrics`]/

@@ -19,15 +19,15 @@ use std::time::Instant;
 
 use liquamod_floorplan::PowerLevel;
 
-use crate::faults::{DegradedEvent, DegradedKind};
+use crate::faults::{DegradedEvent, DegradedKind, SegmentFaults};
 use crate::fleet::{
-    allocate, allocate_with, BudgetPolicy, PredictiveContext, PumpBudget, SurrogateModel,
+    allocate_with, run_stack_segment, BudgetPolicy, PredictiveContext, PumpBudget, SurrogateModel,
 };
-use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTrace};
+use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocTrace};
 use crate::obs;
 use crate::serve::metrics::{PoolMetrics, SessionMetrics};
 use crate::serve::session::{ServeSession, SessionSnapshot};
-use crate::sweep::{catch_unit, parallel_map};
+use crate::sweep::parallel_map;
 use crate::transient::{ModulationPolicy, ResumeState, TransientOutcome};
 use crate::{CoreError, Result};
 
@@ -119,10 +119,10 @@ pub struct WidthDecision {
     /// Optimizer objective evaluations spent on the segment.
     pub evaluations: usize,
     /// The full transient record of the segment (snapshot timestamps are
-    /// segment-local, per the [`ModulationController::run_resumed`]
+    /// segment-local, per the [`ModulationController::run_segment`]
     /// contract).
     ///
-    /// [`ModulationController::run_resumed`]: crate::transient::ModulationController::run_resumed
+    /// [`ModulationController::run_segment`]: crate::transient::ModulationController::run_segment
     pub outcome: TransientOutcome,
 }
 
@@ -500,12 +500,11 @@ impl ServePool {
             });
         }
         let _batch_span = obs::span("serve.batch");
-        let shares = if self.options.budget_policy == BudgetPolicy::Predictive {
-            // Predictive serving: the lookahead is *partial* — only the
-            // submitted-but-undrained front of each session's queue is
-            // known — and the per-session surrogates (refit from every
-            // served decision, carried through snapshot/restore) supply
-            // the trace-unknown half.
+        // Predictive serving: the lookahead is *partial* — only the
+        // submitted-but-undrained front of each session's queue is known —
+        // and the per-session surrogates (refit from every served decision,
+        // carried through snapshot/restore) supply the trace-unknown half.
+        let predictive = (self.options.budget_policy == BudgetPolicy::Predictive).then(|| {
             let last_shares: Vec<f64> = live
                 .iter()
                 .map(|id| self.sessions[id].predictor().last_share)
@@ -519,20 +518,21 @@ impl ServePool {
                     .map(|id| *self.sessions[id].predictor())
                     .collect(),
             );
-            let ctx = PredictiveContext {
-                last_shares: &last_shares,
-                forecast_ratio: Some(&ratios),
-                surrogate: &surrogate,
-            };
-            allocate_with(
-                self.options.budget_policy,
-                &self.effective,
-                &gradients,
-                Some(&ctx),
-            )?
-        } else {
-            allocate(self.options.budget_policy, &self.effective, &gradients)?
-        };
+            (last_shares, ratios, surrogate)
+        });
+        let ctx = predictive
+            .as_ref()
+            .map(|(last_shares, ratios, surrogate)| PredictiveContext {
+                last_shares,
+                forecast_ratio: Some(ratios),
+                surrogate,
+            });
+        let shares = allocate_with(
+            self.options.budget_policy,
+            &self.effective,
+            &gradients,
+            ctx.as_ref(),
+        )?;
         let share_of: BTreeMap<u64, f64> = live.iter().copied().zip(shares).collect();
 
         let started = Instant::now();
@@ -558,24 +558,22 @@ impl ServePool {
         let run_one = |task: &BatchTask| -> Result<(TransientOutcome, ResumeState, f64)> {
             let _span = obs::lane_span("serve.decision", task.id as u32);
             obs::add("serve.decisions", 1);
-            let config = base_config.with_flow_scale(task.share)?;
-            let modulated = MpsocModulated::for_arch(&task.arch.architecture(), config)?;
-            let controller = modulated.controller(policy)?;
+            let arch = task.arch.architecture();
             let t0 = Instant::now();
-            let (outcome, resume) = controller.run_resumed(&task.trace, task.resume.clone())?;
+            let (outcome, resume) = run_stack_segment(
+                &arch,
+                &base_config,
+                task.share,
+                policy,
+                &task.trace,
+                task.resume.clone(),
+                &SegmentFaults::default(),
+            )?;
             Ok((outcome, resume, t0.elapsed().as_secs_f64()))
         };
         let task_label = |task: &BatchTask| task.label.clone();
-
-        let workers = self.options.workers.max(1);
-        let results: Vec<Result<(TransientOutcome, ResumeState, f64)>> = if workers == 1 {
-            tasks
-                .iter()
-                .map(|t| catch_unit(t, &task_label, &run_one))
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            parallel_map(&tasks, workers, task_label, run_one)?
-        };
+        let results: Vec<Result<(TransientOutcome, ResumeState, f64)>> =
+            parallel_map(&tasks, self.options.workers, task_label, run_one)?;
 
         let mut decisions = Vec::with_capacity(tasks.len());
         let mut events = Vec::new();

@@ -506,14 +506,8 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
     let eval =
         |c: &&[SweepVariant]| evaluate_chain(c, &options.params, &config, options.warm_start);
     let start = Instant::now();
-    let chain_results: Vec<Vec<Result<SweepRow>>> = if workers == 1 {
-        chains
-            .iter()
-            .map(|c| catch_unit(c, &chain_label, &eval))
-            .collect::<Result<Vec<_>>>()?
-    } else {
-        parallel_map(&chains, workers, chain_label, eval)?
-    };
+    let chain_results: Vec<Vec<Result<SweepRow>>> =
+        parallel_map(&chains, workers, chain_label, eval)?;
     let wall = start.elapsed();
 
     let rows = chain_results
@@ -548,14 +542,7 @@ pub(crate) fn run_variant_sweep<V: Sync, R: Send>(
         requested_workers.max(1).min(variants.len())
     };
     let start = Instant::now();
-    let results: Vec<Result<R>> = if workers == 1 {
-        variants
-            .iter()
-            .map(|v| catch_unit(v, &label, &eval))
-            .collect::<Result<Vec<_>>>()?
-    } else {
-        parallel_map(variants, workers, label, eval)?
-    };
+    let results: Vec<Result<R>> = parallel_map(variants, workers, label, eval)?;
     let wall = start.elapsed();
     let rows = results.into_iter().collect::<Result<Vec<_>>>()?;
     Ok((rows, workers, wall))
@@ -579,7 +566,7 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
 /// served host must degrade, not die. `AssertUnwindSafe` is sound here
 /// because an `Err` discards every result of the fan-out, so no state
 /// poisoned mid-panic is ever observed.
-pub(crate) fn catch_unit<T, R>(
+fn catch_unit<T, R>(
     item: &T,
     label: &(impl Fn(&T) -> String + ?Sized),
     f: &(impl Fn(&T) -> R + ?Sized),
@@ -594,13 +581,15 @@ pub(crate) fn catch_unit<T, R>(
 
 /// Maps `f` over `items` on `workers` threads, preserving input order in
 /// the output. Work is distributed dynamically (an atomic cursor) so slow
-/// variants don't serialize behind a static partition. Shared with the
-/// transient sweep ([`crate::transient::run_transient_sweep`]), the fleet
-/// wavefront scheduler and the serve session pool.
+/// variants don't serialize behind a static partition. The one fan-out
+/// path of the workspace: the sweeps, the fleet wavefront scheduler and
+/// the serve session pool all go through it. With `workers <= 1` the units
+/// run inline on the calling thread, in item order, with no thread spawned.
 ///
 /// A panicking unit surfaces as [`CoreError::WorkerPanicked`] labelled via
 /// `label`; when several units panic, the first in **item order** wins, so
-/// the reported unit is independent of thread interleaving.
+/// the reported unit is independent of thread interleaving (and the inline
+/// path reports the same unit).
 ///
 /// When an [`crate::obs`] session is recording, each unit's spans,
 /// counters and events are captured from the worker's thread-local buffer
@@ -622,6 +611,12 @@ where
     F: Fn(&T) -> R + Sync,
     N: Fn(&T) -> String + Sync,
 {
+    if workers <= 1 {
+        return items
+            .iter()
+            .map(|item| catch_unit(item, &label, &f))
+            .collect();
+    }
     let cursor = AtomicUsize::new(0);
     let workers = workers.min(items.len()).max(1);
     // The worker closures `move` their 1-based id and borrow the rest.

@@ -65,7 +65,7 @@ pub type StripTrace = PowerTrace<StripLoad>;
 pub type CavityProfiles = Vec<Vec<WidthProfile>>;
 
 /// Carry-over state of a segmented transient run: everything
-/// [`ModulationController::run_resumed`] needs to continue a trace exactly
+/// [`ModulationController::run_segment`] needs to continue a trace exactly
 /// where a previous segment left off — the node temperatures, the incumbent
 /// width profiles, and the epoch optimizer's warm-start chain.
 ///
@@ -96,7 +96,7 @@ impl ResumeState {
     /// numeric format ([`liquamod_grid_sim::snapshot`]): flat arrays of
     /// shortest-round-trip numbers, so a snapshot written before a process
     /// restart parses back **bitwise** and
-    /// [`ModulationController::run_resumed`] continues the trajectory as if
+    /// [`ModulationController::run_segment`] continues the trajectory as if
     /// the restart never happened. The width profiles flatten to four
     /// parallel arrays (profiles per cavity, a kind code per profile —
     /// 0 uniform / 1 piecewise-constant / 2 piecewise-linear — values per
@@ -576,7 +576,7 @@ pub struct TransientOutcome {
     /// The time step the run used, seconds.
     pub dt_seconds: f64,
     /// Structured degraded-mode events the run surfaced (always empty for
-    /// healthy runs — see [`ModulationController::run_faulted`]). Stamped
+    /// healthy runs — see [`ModulationController::run_segment`]). Stamped
     /// with segment-local times; the fleet layer adds segment and stack
     /// indices when stitching.
     pub degraded: Vec<DegradedEvent>,
@@ -622,37 +622,33 @@ impl TransientOutcome {
     /// for the comparer and the `LIQUAMOD_REGEN_GOLDEN=1` regeneration knob.
     #[must_use]
     pub fn golden_json(&self, scenario: &str) -> String {
-        fn num_array(values: impl Iterator<Item = f64>) -> String {
-            let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-            format!("[{}]", items.join(", "))
-        }
         let mut out = String::from("{\n");
         out.push_str("  \"schema_version\": 1,\n");
         out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
         out.push_str(&format!("  \"dt_seconds\": {:e},\n", self.dt_seconds));
         out.push_str(&format!(
             "  \"times\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.time_seconds))
+            golden_num_array(self.snapshots.iter().map(|s| s.time_seconds))
         ));
         out.push_str(&format!(
             "  \"peak_k\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.peak_k))
+            golden_num_array(self.snapshots.iter().map(|s| s.peak_k))
         ));
         out.push_str(&format!(
             "  \"min_k\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.min_k))
+            golden_num_array(self.snapshots.iter().map(|s| s.min_k))
         ));
         out.push_str(&format!(
             "  \"gradient_k\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.gradient_k))
+            golden_num_array(self.snapshots.iter().map(|s| s.gradient_k))
         ));
         out.push_str(&format!(
             "  \"epoch_steps_at\": {},\n",
-            num_array(self.epochs.iter().map(|e| e.step as f64))
+            golden_num_array(self.epochs.iter().map(|e| e.step as f64))
         ));
         out.push_str(&format!(
             "  \"epoch_adopted\": {},\n",
-            num_array(
+            golden_num_array(
                 self.epochs
                     .iter()
                     .map(|e| if e.adopted { 1.0 } else { 0.0 })
@@ -660,21 +656,29 @@ impl TransientOutcome {
         ));
         out.push_str(&format!(
             "  \"epoch_candidate_gradient_k\": {},\n",
-            num_array(self.epochs.iter().map(|e| e.candidate_gradient_k))
+            golden_num_array(self.epochs.iter().map(|e| e.candidate_gradient_k))
         ));
         out.push_str(&format!(
             "  \"epoch_incumbent_gradient_k\": {},\n",
-            num_array(self.epochs.iter().map(|e| e.incumbent_gradient_k))
+            golden_num_array(self.epochs.iter().map(|e| e.incumbent_gradient_k))
         ));
         let widths: Vec<String> = self
             .epochs
             .iter()
-            .map(|e| num_array(e.widths_um.iter().flatten().copied()))
+            .map(|e| golden_num_array(e.widths_um.iter().flatten().copied()))
             .collect();
         out.push_str(&format!("  \"epoch_widths_um\": [{}]\n", widths.join(", ")));
         out.push_str("}\n");
         out
     }
+}
+
+/// One flat array of the golden-fixture format: every value in Rust's
+/// shortest round-trip exponent notation, so fixtures diff numerically at
+/// 1e-9 and parse back bitwise.
+pub(crate) fn golden_num_array(values: impl Iterator<Item = f64>) -> String {
+    let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
+    format!("[{}]", items.join(", "))
 }
 
 /// The strip stack family: the Fig. 2 test structure (one channel between
@@ -854,36 +858,26 @@ impl<S: ModulatedStack> ModulationController<S> {
     ///
     /// Propagates model-construction, optimizer and stepper failures.
     pub fn run(&self, trace: &PowerTrace<S::Load>) -> Result<TransientOutcome> {
-        self.run_resumed(trace, None).map(|(outcome, _)| outcome)
+        self.run_segment(trace, None, &SegmentFaults::default(), None)
+            .map(|(outcome, _)| outcome)
     }
 
     /// [`ModulationController::run`] for one *segment* of a longer
-    /// schedule: starts from `resume` (or from thermal equilibrium and the
-    /// uniform widths when `None` — exactly [`ModulationController::run`])
-    /// and also returns the [`ResumeState`] at the end of the trace, so the
-    /// caller can chain segments — rebuilding the controller in between,
-    /// e.g. with a reallocated coolant-flow budget
+    /// schedule, under the segment's fault conditions — the single entry
+    /// point every segmented loop drives (the fleet wavefront, faulted
+    /// fleets and the serve pool). It starts from `resume` (or from thermal
+    /// equilibrium and the uniform widths when `None` — exactly
+    /// [`ModulationController::run`]) and also returns the [`ResumeState`]
+    /// at the end of the trace, so the caller can chain segments —
+    /// rebuilding the controller in between, e.g. with a reallocated
+    /// coolant-flow budget
     /// ([`MpsocConfig::with_flow_scale`](crate::mpsoc::MpsocConfig::with_flow_scale))
-    /// — while the thermal trajectory stays continuous.
+    /// — while the thermal trajectory stays continuous. Snapshot timestamps
+    /// restart at `Δt` within each segment; callers stitching segments into
+    /// one timeline add their own offsets.
     ///
-    /// Snapshot timestamps restart at `Δt` within each segment; callers
-    /// stitching segments into one timeline add their own offsets.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction, optimizer and stepper failures.
-    pub fn run_resumed(
-        &self,
-        trace: &PowerTrace<S::Load>,
-        resume: Option<ResumeState>,
-    ) -> Result<(TransientOutcome, ResumeState)> {
-        self.run_faulted(trace, resume, &SegmentFaults::default(), None)
-    }
-
-    /// [`ModulationController::run_resumed`] under injected faults: the
-    /// fault-tolerant entry point of the [`crate::faults`] subsystem.
-    ///
-    /// `faults` describes the segment's operating conditions:
+    /// `faults` describes the segment's operating conditions
+    /// ([`SegmentFaults::default`] is the healthy plant):
     ///
     /// - A stuck valve group ([`ValveMode::StuckKnown`] /
     ///   [`ValveMode::StuckSilent`]) freezes the *plant's* channel widths at
@@ -909,14 +903,11 @@ impl<S: ModulatedStack> ModulationController<S> {
     /// controller runs against a plant whose inlet has silently drifted.
     /// `None` uses `self.family` for both.
     ///
-    /// With default (healthy) faults and no plant override this is exactly
-    /// [`ModulationController::run_resumed`], bitwise.
-    ///
     /// # Errors
     ///
     /// Propagates model-construction, optimizer and stepper failures
     /// (optimizer failures only when `tolerant` is off).
-    pub fn run_faulted(
+    pub fn run_segment(
         &self,
         trace: &PowerTrace<S::Load>,
         resume: Option<ResumeState>,
@@ -1906,14 +1897,24 @@ mod tests {
             .unwrap()
         };
         let (_, resume) = controller
-            .run_resumed(&segment("warmup", 24.0), None)
+            .run_segment(
+                &segment("warmup", 24.0),
+                None,
+                &SegmentFaults::default(),
+                None,
+            )
             .unwrap();
         assert!(
             resume.last_gradient_k > 2.0,
             "warm-up must build a gradient"
         );
         let (second, handover) = controller
-            .run_resumed(&segment("steady", 12.0), Some(resume))
+            .run_segment(
+                &segment("steady", 12.0),
+                Some(resume),
+                &SegmentFaults::default(),
+                None,
+            )
             .unwrap();
         let steps: Vec<usize> = second.epochs.iter().map(|e| e.step).collect();
         assert!(

@@ -10,8 +10,7 @@
 //!   toward the hot aligned-hotspot stack at the expense of the cool
 //!   all-cache one;
 //! * the worst stack's time-peak inter-layer gradient — the fleet metric
-//!   the budget is spent on — dropping under water-filling, while the
-//!   hottest-first greedy policy starves the other stacks and loses;
+//!   the budget is spent on — dropping under water-filling;
 //! * every segment's allocation summing exactly to the pump budget.
 //!
 //! Run with: `cargo run --release --example fleet_sharding`
@@ -86,7 +85,7 @@ fn main() -> Result<(), CoreError> {
     }
     println!(
         "water-filling spends the same budget where the gradients are — the worst-stack \
-         gradient drops below the uniform split, while greedy starves the cool stacks."
+         gradient drops below the uniform split."
     );
     Ok(())
 }

@@ -20,7 +20,7 @@
 //! another target, regenerate locally first rather than chasing phantom
 //! diffs.
 
-use liquamod::faults::{run_faulted_fleet, DegradedKind, FaultEvent, FaultSchedule};
+use liquamod::faults::{self, run_faulted_fleet, DegradedKind, FaultEvent, FaultSchedule};
 use liquamod::fleet::{run_fleet, BudgetPolicy, FleetOptions, PumpBudget, StackSpec};
 use liquamod::floorplan::testcase::TEST_B_DEFAULT_SEED;
 use liquamod::floorplan::{arch, trace, PowerLevel};
@@ -255,7 +255,7 @@ fn golden_faults_pump_ramp_run() {
         "the 0.4x ramp must clamp the budget: {:?}",
         outcome.degraded
     );
-    let actual = outcome.golden_json("faults_pump_ramp");
+    let actual = faults::golden_json(&outcome, "faults_pump_ramp", true);
     let path = fixture_path("faults_pump_ramp.json");
     if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -437,19 +437,20 @@ fn golden_serialization_roundtrips() {
 /// (the CI bench-smoke comparisons) parse.
 #[test]
 fn bench_records_declare_schema_version() {
-    // BENCH_fleet.json is at v5: v2 added `stepper` and the segment-level
+    // BENCH_fleet.json is at v6: v2 added `stepper` and the segment-level
     // scheduler's `segment_wall_seconds`; v3 added `available_cores`, the
     // detected core count CI's speedup gate judges `parallel_speedup`
     // against (on a 1–2 core box parallel can only match serial); v4 (and
     // the other records' v2) added the `counters` observability block; v5
     // added the predictive (one-step-MPC) policy column: per-variant
     // `worst_gradient_predictive_k`, `predictive_margin` and the surrogate
-    // diagnostics CI's predictive-vs-waterfill gate reads.
+    // diagnostics CI's predictive-vs-waterfill gate reads; v6 dropped the
+    // greedy policy's columns.
     for (name, version) in [
         ("BENCH_sweep.json", 2.0),
         ("BENCH_transient.json", 2.0),
         ("BENCH_mpsoc.json", 2.0),
-        ("BENCH_fleet.json", 5.0),
+        ("BENCH_fleet.json", 6.0),
         ("BENCH_faults.json", 2.0),
         ("BENCH_serve.json", 2.0),
     ] {

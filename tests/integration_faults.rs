@@ -6,7 +6,7 @@
 //! combination is active.
 
 use liquamod::faults::{run_faulted_fleet, FaultEvent, FaultSchedule};
-use liquamod::fleet::{FleetOptions, StackSpec};
+use liquamod::fleet::{FleetOptions, FleetOutcome, StackSpec};
 use liquamod::mpsoc::{ArchSpec, MpsocConfig, MpsocTraceSpec};
 use liquamod::transient::EpochPolicy;
 use liquamod::{ExecutionMode, OptimizationConfig};
@@ -58,7 +58,8 @@ fn tiny_options() -> FleetOptions {
 /// decay leaves the nominal band infeasible — while the oblivious
 /// baseline's static provisioning is exactly the rescaled uniform share.
 fn assert_budget_invariants(
-    outcome: &liquamod::faults::FaultedFleetOutcome,
+    outcome: &FleetOutcome,
+    aware: bool,
     options: &FleetOptions,
     schedule: &FaultSchedule,
 ) {
@@ -73,7 +74,7 @@ fn assert_budget_invariants(
             "segment {seg}: allocation sum {sum} vs decayed budget {decayed_total}"
         );
         let share = decayed_total / n;
-        let (lo, hi) = if outcome.aware {
+        let (lo, hi) = if aware {
             (
                 options.budget.min_scale.min(share),
                 options.budget.max_scale.max(share),
@@ -84,8 +85,7 @@ fn assert_budget_invariants(
         for &s in alloc {
             assert!(
                 s >= lo - 1e-12 && s <= hi + 1e-12,
-                "segment {seg}: share {s} outside [{lo}, {hi}] (aware = {})",
-                outcome.aware
+                "segment {seg}: share {s} outside [{lo}, {hi}] (aware = {aware})"
             );
         }
     }
@@ -108,7 +108,7 @@ proptest! {
         for aware in [true, false] {
             let outcome = run_faulted_fleet(&stacks, &options, &schedule, aware).unwrap();
             prop_assert_eq!(outcome.allocations.len(), 2);
-            assert_budget_invariants(&outcome, &options, &schedule);
+            assert_budget_invariants(&outcome, aware, &options, &schedule);
             prop_assert!(outcome.worst_stack_peak_gradient_k().is_finite());
         }
     }
@@ -164,7 +164,7 @@ proptest! {
                     prop_assert!(seg.peak_gradient_k.is_finite());
                 }
             }
-            assert_budget_invariants(&outcome, &options, &schedule);
+            assert_budget_invariants(&outcome, aware, &options, &schedule);
         }
     }
 }

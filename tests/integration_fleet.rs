@@ -16,7 +16,7 @@ use liquamod::mpsoc::{ArchSpec, MpsocConfig, MpsocTraceSpec};
 use liquamod::transient::{
     EpochPolicy, ModulationController, ModulationPolicy, TransientConfig, TransientOutcome,
 };
-use liquamod::{ExecutionMode, OptimizationConfig};
+use liquamod::{ExecutionMode, OptimizationConfig, SegmentFaults};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
@@ -499,7 +499,7 @@ fn predictive_fleet_is_bitwise_deterministic_across_worker_counts() {
 }
 
 /// The identity the fleet's reallocation machinery rests on: chaining
-/// `run_resumed` over segments reproduces the one-shot `run` bitwise when
+/// `run_segment` over segments reproduces the one-shot `run` bitwise when
 /// the segments align with the epoch cadence and nothing else changes
 /// between them.
 #[test]
@@ -532,7 +532,12 @@ fn segmented_resume_matches_one_shot_run_bitwise() {
     let mut outcomes: Vec<TransientOutcome> = Vec::new();
     for seg in 0..4 {
         let (outcome, next) = controller
-            .run_resumed(&segment(seg / 2, seg % 2), resume)
+            .run_segment(
+                &segment(seg / 2, seg % 2),
+                resume,
+                &SegmentFaults::default(),
+                None,
+            )
             .unwrap();
         outcomes.push(outcome);
         resume = Some(next);

@@ -17,7 +17,7 @@
 //! LIQUAMOD_REGEN_GOLDEN=1 cargo test --test integration_obs
 //! ```
 
-use liquamod::faults::{run_faulted_fleet, FaultEvent, FaultSchedule};
+use liquamod::faults::{run_faulted_fleet, FaultEvent, FaultScenario, FaultSchedule};
 use liquamod::fleet::{
     run_fleet, run_fleet_sweep, FleetGrid, FleetOptions, FleetSweepOptions, PumpBudget, StackSpec,
 };
@@ -248,15 +248,41 @@ fn deterministic_exports_match_across_worker_counts() {
         stacks: two_stacks(),
         budget_scales: vec![0.9],
     };
+    // A faulted fleet runs the same wavefront loop, so its fleet spans and
+    // counters — and the degraded events its posture hooks and controllers
+    // record — carry the same contract. Its schedule holds every
+    // scenario's faults at once.
+    let config = small_config();
+    let faulted_options = FleetOptions {
+        policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
+        phase_seconds: 6.0 * config.dt_seconds,
+        segments_per_phase: 2,
+        config,
+        ..FleetOptions::fast(2, ExecutionMode::Serial)
+    };
+    let horizon = 2.0 * faulted_options.phase_seconds;
+    let schedule = FaultSchedule {
+        seed: 3,
+        events: FaultScenario::all()
+            .iter()
+            .flat_map(|s| s.schedule(horizon, 2, 3).events)
+            .collect(),
+    };
     let run = |mode: ExecutionMode| {
         let session = ObsSession::start();
         let report = run_fleet_sweep(&grid, &fleet_sweep_options(mode)).unwrap();
-        (report, session.finish())
+        let options = FleetOptions {
+            mode,
+            ..faulted_options.clone()
+        };
+        let faulted = run_faulted_fleet(&two_stacks(), &options, &schedule, true).unwrap();
+        ((report.rows, faulted), session.finish())
     };
     let (rows_1, obs_1) = run(ExecutionMode::Serial);
+    assert!(!obs_1.events.is_empty(), "the faulted run records events");
     for workers in [2usize, 4] {
         let (rows_n, obs_n) = run(parallel(workers));
-        assert_eq!(rows_1.rows, rows_n.rows, "workers = {workers}");
+        assert_eq!(rows_1, rows_n, "workers = {workers}");
         assert_eq!(
             obs_1.to_jsonl(),
             obs_n.to_jsonl(),
