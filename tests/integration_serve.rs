@@ -1,9 +1,18 @@
 //! End-to-end tests of the streaming modulation service: the
 //! [`liquamod::transient::ResumeState`] golden-JSON round trip (bitwise),
-//! the streamed-equals-one-shot identity, snapshot→restore→continue
-//! fidelity through the serialized document, and bitwise determinism of a
-//! churning soak across worker counts.
+//! the pinned bytes of a session snapshot document, the streamed-equals-
+//! one-shot identity, snapshot→restore→continue fidelity through the
+//! serialized document, and bitwise determinism of a churning soak across
+//! worker counts.
+//!
+//! Regenerate the snapshot fixture after an *intentional* document change
+//! with:
+//!
+//! ```text
+//! LIQUAMOD_REGEN_GOLDEN=1 cargo test --test integration_serve
+//! ```
 
+use liquamod::fleet::StackSurrogate;
 use liquamod::mpsoc::{ArchSpec, MpsocConfig};
 use liquamod::prelude::PowerLevel;
 use liquamod::serve::{
@@ -14,6 +23,7 @@ use liquamod::thermal_model::WidthProfile;
 use liquamod::transient::{ModulationPolicy, ResumeState};
 use liquamod::units::Length;
 use liquamod::{BudgetPolicy, DegradedKind, DesignWarmStart, OptimizationConfig};
+use std::path::PathBuf;
 
 /// The fleet tests' small-but-real per-stack configuration: 20 channel
 /// columns in 2 groups, 11 cells along the flow, 2-segment profiles.
@@ -94,6 +104,79 @@ fn resume_state_golden_json_round_trips_bitwise() {
     // And the re-rendered document is byte-identical: serialize ∘ parse is
     // the identity on documents, not just on values.
     assert_eq!(back.to_golden_json(), doc);
+}
+
+/// A hand-built session snapshot touching every branch of the document:
+/// all three width-profile kinds, negative zero and a subnormal in the node
+/// temperatures, a warm start with an empty multiplier array, a predictor
+/// partway through its fit and a recorded closing power. No solver runs,
+/// so the pinned bytes do not depend on the platform's libm.
+fn pinned_snapshot() -> SessionSnapshot {
+    SessionSnapshot {
+        session_id: 11,
+        arch: ArchSpec::Arch2,
+        segments_done: 3,
+        clock_seconds: 3.0 * 0.032,
+        predictor: StackSurrogate {
+            slope_k_per_scale: -7.25 + 1e-13,
+            last_share: 1.0 / 3.0,
+            last_gradient_k: 4.25,
+            observed: true,
+        },
+        last_power_w: Some(123.456789 + 1e-10),
+        resume: Some(ResumeState {
+            state: vec![300.15, -0.0, f64::MIN_POSITIVE / 4.0, 0.1 + 0.2, 1.0 / 3.0],
+            widths: vec![
+                vec![
+                    WidthProfile::Uniform(Length::from_micrometers(100.0)),
+                    WidthProfile::piecewise_constant(vec![
+                        Length::from_micrometers(53.7),
+                        Length::from_micrometers(87.1),
+                    ]),
+                ],
+                vec![WidthProfile::piecewise_linear(vec![
+                    Length::from_micrometers(50.0),
+                    Length::from_micrometers(66.6),
+                    Length::from_micrometers(100.0),
+                ])],
+            ],
+            warm: Some(DesignWarmStart {
+                x: vec![0.3, -1.5e-7, 2.0 / 7.0],
+                inequality_multipliers: vec![],
+                equality_multipliers: vec![-3.5e-2],
+                penalty: 12.345678,
+            }),
+            last_gradient_k: 6.125 + 1e-13,
+        }),
+    }
+}
+
+fn snapshot_fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_snapshot.json")
+}
+
+/// The session snapshot document is pinned byte for byte: the writer must
+/// reproduce the fixture exactly, and the fixture must parse back to the
+/// same bits (negative zero and the subnormal included).
+#[test]
+fn session_snapshot_bytes_match_the_golden_fixture() {
+    let snapshot = pinned_snapshot();
+    let doc = snapshot.to_golden_json();
+    let path = snapshot_fixture_path();
+    if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &doc).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert_eq!(doc, expected, "the snapshot writer drifted from {path:?}");
+    let parsed = SessionSnapshot::from_golden_json(&expected).unwrap();
+    assert_eq!(parsed, snapshot);
+    assert_eq!(parsed.to_golden_json(), expected);
+    let state = &parsed.resume.as_ref().unwrap().state;
+    assert_eq!(state[1].to_bits(), (-0.0f64).to_bits());
+    assert_eq!(state[2].to_bits(), (f64::MIN_POSITIVE / 4.0).to_bits());
 }
 
 #[test]
