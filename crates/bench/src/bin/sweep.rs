@@ -45,32 +45,11 @@
 //!
 //! Run with: `cargo run --release -p bench --bin sweep [-- transient|mpsoc|fleet|faults|serve]`
 //!
-//! Options (all modes unless noted; `--help` prints the same list):
-//!
-//! * `transient` — run the strip transient modulation sweep;
-//! * `mpsoc` — run the full-chip MPSoC modulation sweep;
-//! * `fleet` — run the shared-pump fleet sharding sweep;
-//! * `faults` — run the fault-injection scenario grid;
-//! * `serve` — soak the streaming modulation service;
-//! * `--serial` — run on one thread only (no speedup baseline);
-//! * `--workers N` — override the parallel worker count;
-//! * `--no-baseline` — skip the serial reference run (faster, but no
-//!   speedup figure and no runtime determinism check);
-//! * `--cold-start` — steady mode only: disable warm-started flow chains
-//!   (every variant's optimizer starts from the uniform-maximum baseline,
-//!   as in the paper);
-//! * `--stepper backward-euler|exponential` — all modes but steady:
-//!   pick the transient integrator backend (backward-euler is the default;
-//!   exponential is the condensed exponential-integrator fast path);
-//! * `--json [PATH]` — write a machine-readable perf record; `PATH`
-//!   defaults to `BENCH_<mode>.json` (steady spells its mode `sweep`);
-//! * `--trace [PATH]` — record hierarchical spans through the run and
-//!   write a Perfetto-loadable Chrome trace (`PATH` defaults to
-//!   `TRACE_<mode>.json`), plus a self-time profile table on stdout;
-//! * `--counters [PATH]` — write the deterministic observability JSONL
-//!   log — spans, counters and degraded events without wall-clock fields
-//!   (`PATH` defaults to `COUNTERS_<mode>.jsonl`);
-//! * `LIQUAMOD_FAST=1` — coarse optimizer/grid settings (CI).
+//! Options: `sweep --help` prints them (`print_help` is the one list;
+//! README.md's flag table is generated from its output). `--json`,
+//! `--trace` and `--counters` write the perf record, the Chrome trace and
+//! the deterministic JSONL log, all through `liquamod::json`;
+//! `LIQUAMOD_FAST=1` selects the coarse CI settings.
 //!
 //! By default the steady grid is the 16-variant paper neighborhood, the
 //! transient grid the 4-variant trace neighborhood and the mpsoc grid the
@@ -79,25 +58,25 @@
 //! throughput and the parallel speedup.
 
 use liquamod::faults::{run_faults_sweep, FaultScenario, FaultsReport, FaultsSweepOptions};
-use liquamod::fleet::{
-    run_fleet_sweep, BudgetPolicy, FleetGrid, FleetReport, FleetSweepOptions, StackSpec,
-};
+use liquamod::fleet::{run_fleet_sweep, BudgetPolicy, FleetGrid, FleetSweepOptions, StackSpec};
 use liquamod::floorplan::PowerLevel;
 use liquamod::grid_sim::{ExponentialOptions, StepperKind};
-use liquamod::mpsoc::{run_mpsoc_sweep, MpsocGrid, MpsocReport, MpsocSweepOptions};
+use liquamod::json::Json;
+use liquamod::mpsoc::{run_mpsoc_sweep, MpsocGrid, MpsocSweepOptions};
 use liquamod::serve::{
     run_soak, soak_level, soak_outcomes_match, verify_snapshot_restore, verify_streaming_identity,
-    ServeOptions, SnapshotFidelity, SoakOutcome, SoakPlan, StreamingIdentity,
+    ServeOptions, SnapshotFidelity, SoakPlan, StreamingIdentity,
 };
 use liquamod::sweep::{run_sweep, ExecutionMode, SweepGrid, SweepOptions, SweepReport};
 use liquamod::transient::{
-    run_transient_sweep, EpochPolicy, ModulationPolicy, TransientGrid, TransientReport,
-    TransientSweepOptions,
+    run_transient_sweep, EpochPolicy, ModulationPolicy, TransientGrid, TransientSweepOptions,
 };
 use liquamod::{ObsReport, ObsSession};
 use liquamod_bench::{banner, print_table};
+use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::time::Duration;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -271,35 +250,43 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Starts an observability session when any consumer asked for one: a
-/// trace, a counters log, or the perf record (whose tail carries the
-/// counter registry). Spans and counters recorded outside a session are
-/// dropped at near-zero cost, so the un-flagged paths stay unobserved.
-fn obs_session(args: &Args) -> Option<ObsSession> {
-    (args.trace.is_some() || args.counters.is_some() || args.json.is_some()).then(ObsSession::start)
-}
-
-/// Finishes the session (before the serial baseline runs, so the report
-/// covers exactly the run whose wall time the record reports) and writes
-/// the requested export files. The self-time profile prints whenever
-/// tracing was on; the returned report feeds the perf record's `counters`
-/// block.
-fn obs_finish(args: &Args, session: Option<ObsSession>) -> Result<Option<ObsReport>, String> {
-    let Some(session) = session else {
-        return Ok(None);
+/// Runs a mode's workload inside an observability session when any
+/// consumer asked for one — a trace, a counters log, or the perf record
+/// (whose tail carries the counter registry) — and writes the requested
+/// exports; the self-time profile prints whenever tracing was on. The
+/// session finishes before the serial baseline runs, so it covers exactly
+/// the run whose wall time the record reports. Spans and counters recorded
+/// outside a session are dropped at near-zero cost, so the un-flagged
+/// paths stay unobserved. The `Err` is the exit code of a failed run.
+fn observed<R>(
+    args: &Args,
+    what: &str,
+    run: impl FnOnce() -> liquamod::Result<R>,
+) -> Result<(R, Option<ObsReport>), ExitCode> {
+    let fail = |message: String| {
+        eprintln!("{message}");
+        ExitCode::FAILURE
     };
-    let report = session.finish();
+    let session = (args.trace.is_some() || args.counters.is_some() || args.json.is_some())
+        .then(ObsSession::start);
+    let report = run().map_err(|e| fail(format!("{what} failed: {e}")))?;
+    let Some(session) = session else {
+        return Ok((report, None));
+    };
+    let obs = session.finish();
+    let write = |path: &str, contents: String| {
+        std::fs::write(path, contents).map_err(|e| fail(format!("error: cannot write {path}: {e}")))
+    };
     if let Some(path) = &args.trace {
-        std::fs::write(path, report.to_chrome_trace())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write(path, obs.to_chrome_trace())?;
         println!("wrote Perfetto-loadable trace to {path}");
-        print_table(&report.self_time_table());
+        print_table(&obs.self_time_table());
     }
     if let Some(path) = &args.counters {
-        std::fs::write(path, report.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write(path, obs.to_jsonl())?;
         println!("wrote deterministic observability log to {path}");
     }
-    Ok(Some(report))
+    Ok((report, Some(obs)))
 }
 
 fn report_stats(label: &str, report: &SweepReport) {
@@ -313,86 +300,115 @@ fn report_stats(label: &str, report: &SweepReport) {
     );
 }
 
-/// Minimal JSON string escaping (labels are plain ASCII, but stay correct).
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// A record's members, in order.
+type Members = Vec<(&'static str, Json)>;
+
+/// Renders a BENCH record: the bench name and schema version, the mode's
+/// `header` members (grid, stack and clock), the shared run-stats `tail`
+/// ([`record_tail`]), then the mode's results — the `variants` rows, or
+/// serve's gate and soak blocks. docs/PERFORMANCE.md lists every record's
+/// schema and how the CI bench-smoke job consumes it.
+fn record(bench: &str, schema: usize, header: Members, tail: Members, variants: Members) -> String {
+    let head = [("bench", bench.into()), ("schema_version", schema.into())];
+    Json::object(head.into_iter().chain(header).chain(tail).chain(variants)).to_document()
 }
 
-/// Renders the `BENCH_sweep.json` record; see the README's "Performance"
-/// section for the schema and how the CI bench-smoke job consumes it.
-fn json_record(
-    grid: &SweepGrid,
-    report: &SweepReport,
-    serial: Option<&SweepReport>,
-    determinism_verified: bool,
-    fast_mode: bool,
+/// The run-stats tail every record shares: worker count, the core count
+/// the box actually had (so downstream gates can judge the speedup against
+/// the hardware, not against an assumption), fast-mode flag, wall time,
+/// the serial baseline + speedup when one ran, the determinism flag (set
+/// exactly when the serial baseline ran and matched), and the
+/// observability counter registry of the run (present whenever an obs
+/// session ran, i.e. always under `--json`).
+fn record_tail(
+    workers: usize,
+    wall: Duration,
+    serial_wall: Option<Duration>,
     obs: Option<&ObsReport>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"sweep\",\n");
-    // v2: adds the `counters` observability block.
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"variants\": {}, \"loads\": {}, \"flux_scales\": {}, \"flow_scales\": {}}},\n",
-        grid.len(),
-        grid.loads.len(),
-        grid.flux_scales.len(),
-        grid.flow_scales.len()
-    ));
-    out.push_str(&format!("  \"workers\": {},\n", report.workers));
-    out.push_str(&format!("  \"available_cores\": {},\n", available_cores()));
-    out.push_str(&format!("  \"warm_start\": {},\n", report.warm_start));
-    out.push_str(&format!("  \"fast_mode\": {fast_mode},\n"));
-    out.push_str(&format!(
-        "  \"wall_seconds\": {:.6},\n",
-        report.wall.as_secs_f64()
-    ));
-    out.push_str(&format!(
-        "  \"throughput_variants_per_second\": {:.4},\n",
-        report.throughput_per_second()
-    ));
-    out.push_str(&format!(
-        "  \"total_evaluations\": {},\n",
-        report.total_evaluations()
-    ));
-    if let Some(serial) = serial {
-        out.push_str(&format!(
-            "  \"serial_wall_seconds\": {:.6},\n",
-            serial.wall.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "  \"parallel_speedup\": {:.4},\n",
-            serial.wall.as_secs_f64() / report.wall.as_secs_f64().max(1e-12)
-        ));
+) -> Members {
+    let mut tail: Members = vec![
+        ("workers", workers.into()),
+        ("available_cores", available_cores().into()),
+        ("fast_mode", liquamod_bench::fast_mode().into()),
+        ("wall_seconds", Json::fixed(wall.as_secs_f64(), 6)),
+    ];
+    if let Some(serial) = serial_wall {
+        let speedup = serial.as_secs_f64() / wall.as_secs_f64().max(1e-12);
+        tail.push(("serial_wall_seconds", Json::fixed(serial.as_secs_f64(), 6)));
+        tail.push(("parallel_speedup", Json::fixed(speedup, 4)));
     }
-    out.push_str(&format!(
-        "  \"determinism_verified\": {determinism_verified},\n"
-    ));
-    if let Some(obs) = obs {
-        out.push_str(&format!("  \"counters\": {},\n", obs.counters_json()));
+    tail.push(("determinism_verified", serial_wall.is_some().into()));
+    if let Some(report) = obs {
+        tail.push(("counters", report.counters_value()));
     }
-    out.push_str("  \"variants\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
-        let sep = if i + 1 == report.rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"evaluations\": {}, \"gradient_opt_k\": {:.6}, \
-             \"gradient_reduction\": {:.6}, \"feasible\": {}}}{sep}\n",
-            json_escape(&row.variant.label()),
-            row.evaluations,
-            row.gradient_opt_k,
-            row.gradient_reduction,
-            row.feasible
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    tail
+}
+
+/// The `variants` member of a record: one row object per variant.
+fn variants(rows: impl Iterator<Item = Json>) -> Members {
+    vec![("variants", Json::Array(rows.collect()))]
+}
+
+/// One row of a modulated-vs-frozen record: the transient and mpsoc rows
+/// share the schema and the field names.
+macro_rules! modulated_row {
+    ($row:expr) => {
+        Json::object([
+            ("label", $row.variant.label().into()),
+            (
+                "peak_gradient_modulated_k",
+                Json::fixed($row.peak_gradient_modulated_k, 6),
+            ),
+            (
+                "peak_gradient_frozen_k",
+                Json::fixed($row.peak_gradient_frozen_k, 6),
+            ),
+            (
+                "gradient_reduction",
+                Json::fixed($row.gradient_reduction, 6),
+            ),
+            ("epochs", $row.epochs.into()),
+            ("epochs_adopted", $row.epochs_adopted.into()),
+            ("evaluations", $row.evaluations.into()),
+        ])
+    };
+}
+
+/// A record's `grid` member: the variant count and each axis's length.
+fn grid_member(axes: &[(&'static str, usize)]) -> (&'static str, Json) {
+    let axes = axes.iter().map(|&(name, n)| (name, n.into()));
+    ("grid", Json::object(axes))
+}
+
+/// The `stack` header member of the full-chip records.
+fn stack_member(config: &liquamod::MpsocConfig) -> (&'static str, Json) {
+    let stack = [
+        ("nx", config.nx.into()),
+        ("nz", config.nz.into()),
+        ("n_groups", config.n_groups.into()),
+    ];
+    ("stack", Json::object(stack))
+}
+
+/// A fleet's stack labels, as the fleet and faults records list them.
+fn fleet_labels(stacks: &[StackSpec]) -> Json {
+    Json::Array(stacks.iter().map(|s| s.label().into()).collect())
+}
+
+/// A value's `Debug` form as a record string (epoch and budget policies).
+fn debug_string(value: &impl std::fmt::Debug) -> Json {
+    format!("{value:?}").into()
+}
+
+/// Numbers with 6 fixed-point decimals, the records' default precision.
+fn fixed6(v: f64) -> Json {
+    Json::fixed(v, 6)
+}
+
+/// An array of [`fixed6`] numbers (allocations, budget scales,
+/// per-wavefront walls).
+fn fixed6_array(values: &[f64]) -> Json {
+    Json::Array(values.iter().copied().map(fixed6).collect())
 }
 
 /// The core count this box actually has, as the records report it: the
@@ -416,40 +432,6 @@ fn execution_mode(args: &Args, available: usize) -> ExecutionMode {
     }
 }
 
-/// Shared tail of both modes: runs the serial reference, requires bitwise
-/// row equality with the parallel report and prints the speedup. Returns
-/// the serial report; the `Err` carries the message to fail with.
-fn serial_baseline<R>(
-    what: &str,
-    parallel_wall: std::time::Duration,
-    workers: usize,
-    available: usize,
-    run_serial: impl FnOnce() -> Result<R, String>,
-    rows_match: impl FnOnce(&R) -> bool,
-    wall_of: impl Fn(&R) -> std::time::Duration,
-) -> Result<R, String> {
-    let serial = run_serial()?;
-    if !rows_match(&serial) {
-        return Err(format!(
-            "parallel and serial {what} reports disagree — determinism bug"
-        ));
-    }
-    println!("parallel and serial {what} reports are bitwise identical");
-    let speedup = wall_of(&serial).as_secs_f64() / parallel_wall.as_secs_f64().max(1e-12);
-    println!(
-        "parallel speedup over --serial: {speedup:.2}x with {workers} workers on \
-         {available} core(s)"
-    );
-    Ok(serial)
-}
-
-/// Writes a JSON perf record, reporting the outcome.
-fn write_record(path: &str, what: &str, record: &str) -> Result<(), String> {
-    std::fs::write(path, record).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {what} perf record to {path}");
-    Ok(())
-}
-
 /// What a strictly-beats-baseline gate compares, for its messages: the
 /// candidate metric that must stay strictly below the baseline metric.
 struct GateNames {
@@ -459,199 +441,101 @@ struct GateNames {
     baseline: &'static str,
 }
 
-/// Shared tail of the strictly-beats-baseline modes (`transient`, `mpsoc`,
-/// `fleet`): the serial determinism baseline, the candidate-beats-baseline
-/// gate over `(label, candidate K, baseline K)` rows, and the JSON record
-/// write — which happens even when a gate failed, because the failing run
-/// is exactly the one whose per-variant numbers are needed. Returns the
-/// process exit code.
-// One parameter per closure the report types differ by; bundling them
-// into a trait would just move the same six names elsewhere.
-#[allow(clippy::too_many_arguments)]
-fn finish_gated_mode<R>(
-    what: &str,
+/// The `transient` and `mpsoc` gate: every modulated run strictly below
+/// its frozen uniform-width baseline.
+const MODULATED_GATE: GateNames = GateNames {
+    candidate: "modulated time-peak gradient",
+    baseline: "frozen uniform-width baseline",
+};
+
+/// The strictly-beats-baseline gate of the `transient`, `mpsoc` and
+/// `fleet` modes over `(label, candidate K, baseline K)` rows. Returns the
+/// failure message, if any.
+fn beats_baseline(
     gate: &GateNames,
+    rows: impl IntoIterator<Item = (String, f64, f64)>,
+) -> Option<String> {
+    if let Some((label, candidate, baseline)) = rows
+        .into_iter()
+        .find(|(_, candidate, baseline)| candidate >= baseline)
+    {
+        return Some(format!(
+            "{label}: {} did not beat the {} \
+             ({candidate:.3} K vs {baseline:.3} K)",
+            gate.candidate, gate.baseline
+        ));
+    }
+    println!(
+        "every variant: {} strictly below the {}",
+        gate.candidate, gate.baseline
+    );
+    None
+}
+
+/// Shared tail of every mode: the serial reference run (unless `--serial`
+/// or `--no-baseline`), whose rows must equal the parallel report's
+/// bitwise, then the mode's acceptance `gate`, then the JSON record
+/// `render`ed over the shared [`record_tail`] — written even when a gate
+/// failed, because the failing run is exactly the one whose numbers are
+/// needed. Returns the process exit code.
+// One parameter per closure the report types differ by; bundling them
+// into a trait would just move the same names elsewhere.
+#[allow(clippy::too_many_arguments)]
+fn finish_mode<R>(
+    what: &str,
     args: &Args,
-    available: usize,
-    report: &R,
-    wall: std::time::Duration,
+    wall: Duration,
     workers: usize,
+    obs: Option<&ObsReport>,
     run_serial: impl FnOnce() -> Result<R, String>,
     rows_equal: impl FnOnce(&R) -> bool,
-    wall_of: impl Fn(&R) -> std::time::Duration,
-    gate_rows: impl Fn(&R) -> Vec<(String, f64, f64)>,
-    render_record: impl FnOnce(Option<&R>, bool) -> String,
+    wall_of: impl Fn(&R) -> Duration,
+    gate: impl FnOnce() -> Option<String>,
+    render: impl FnOnce(Members) -> String,
 ) -> ExitCode {
-    let mut serial_report = None;
-    let mut determinism_verified = false;
-    let mut gate_failure: Option<String> = None;
+    let mut serial_wall = None;
+    let mut failure: Option<String> = None;
     if !args.serial && args.baseline {
-        match serial_baseline(
-            what, wall, workers, available, run_serial, rows_equal, wall_of,
-        ) {
-            Ok(serial) => {
-                determinism_verified = true;
-                serial_report = Some(serial);
+        match run_serial() {
+            Ok(serial) if rows_equal(&serial) => {
+                println!("parallel and serial {what} reports are bitwise identical");
+                let speedup = wall_of(&serial).as_secs_f64() / wall.as_secs_f64().max(1e-12);
+                println!(
+                    "parallel speedup over --serial: {speedup:.2}x with {workers} workers on \
+                     {} core(s)",
+                    available_cores()
+                );
+                serial_wall = Some(wall_of(&serial));
             }
-            Err(e) => gate_failure = Some(e),
+            Ok(_) => {
+                failure = Some(format!(
+                    "parallel and serial {what} reports disagree — determinism bug"
+                ));
+            }
+            Err(e) => failure = Some(e),
         }
     }
-    if gate_failure.is_none() {
-        if let Some((label, candidate, baseline)) = gate_rows(report)
-            .into_iter()
-            .find(|(_, candidate, baseline)| candidate >= baseline)
-        {
-            gate_failure = Some(format!(
-                "{label}: {} did not beat the {} \
-                 ({candidate:.3} K vs {baseline:.3} K)",
-                gate.candidate, gate.baseline
-            ));
-        } else {
-            println!(
-                "every variant: {} strictly below the {}",
-                gate.candidate, gate.baseline
-            );
-        }
+    if failure.is_none() {
+        failure = gate();
     }
     if let Some(path) = &args.json {
-        let record = render_record(serial_report.as_ref(), determinism_verified);
-        if let Err(e) = write_record(path, what, &record) {
+        let record = render(record_tail(workers, wall, serial_wall, obs));
+        if let Err(e) = std::fs::write(path, record) {
             // Don't let a write failure swallow an already-detected gate
             // failure — that diagnosis matters more than the record.
-            if let Some(gate) = &gate_failure {
+            if let Some(gate) = &failure {
                 eprintln!("error: {gate}");
             }
-            eprintln!("error: {e}");
+            eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
+        println!("wrote {what} perf record to {path}");
     }
-    if let Some(e) = gate_failure {
+    if let Some(e) = failure {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// Emits the run-stats tail every gated-mode record shares: worker count,
-/// the core count the box actually had (so downstream gates can judge the
-/// speedup against the hardware, not against an assumption), fast-mode
-/// flag, wall time, the serial baseline + speedup when one ran, the
-/// determinism flag, and the observability counter registry of the run
-/// (present whenever an obs session ran, i.e. always under `--json`).
-fn push_record_tail(
-    out: &mut String,
-    workers: usize,
-    fast_mode: bool,
-    wall: std::time::Duration,
-    serial_wall: Option<std::time::Duration>,
-    determinism_verified: bool,
-    obs: Option<&ObsReport>,
-) {
-    out.push_str(&format!("  \"workers\": {workers},\n"));
-    out.push_str(&format!("  \"available_cores\": {},\n", available_cores()));
-    out.push_str(&format!("  \"fast_mode\": {fast_mode},\n"));
-    out.push_str(&format!("  \"wall_seconds\": {:.6},\n", wall.as_secs_f64()));
-    if let Some(serial) = serial_wall {
-        out.push_str(&format!(
-            "  \"serial_wall_seconds\": {:.6},\n",
-            serial.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "  \"parallel_speedup\": {:.4},\n",
-            serial.as_secs_f64() / wall.as_secs_f64().max(1e-12)
-        ));
-    }
-    out.push_str(&format!(
-        "  \"determinism_verified\": {determinism_verified},\n"
-    ));
-    if let Some(report) = obs {
-        out.push_str(&format!("  \"counters\": {},\n", report.counters_json()));
-    }
-}
-
-/// Emits the `variants` array of a modulated-vs-frozen record from
-/// `(label, modulated K, frozen K, reduction, epochs, adopted, evals)`
-/// rows — the transient and mpsoc row schemas are identical, so both
-/// records render through this one loop.
-fn push_modulated_variants(
-    out: &mut String,
-    rows: impl ExactSizeIterator<Item = (String, f64, f64, f64, usize, usize, usize)>,
-) {
-    out.push_str("  \"variants\": [\n");
-    let n = rows.len();
-    for (i, (label, modulated, frozen, reduction, epochs, adopted, evaluations)) in rows.enumerate()
-    {
-        let sep = if i + 1 == n { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"peak_gradient_modulated_k\": {modulated:.6}, \
-             \"peak_gradient_frozen_k\": {frozen:.6}, \"gradient_reduction\": {reduction:.6}, \
-             \"epochs\": {epochs}, \"epochs_adopted\": {adopted}, \
-             \"evaluations\": {evaluations}}}{sep}\n",
-            json_escape(&label),
-        ));
-    }
-    out.push_str("  ]\n}\n");
-}
-
-/// Renders the `BENCH_transient.json` record; see the README's "Transient
-/// modulation" section for the schema and how the CI bench-smoke job
-/// consumes it.
-fn transient_json_record(
-    grid: &TransientGrid,
-    options: &TransientSweepOptions,
-    report: &TransientReport,
-    serial: Option<&TransientReport>,
-    determinism_verified: bool,
-    fast_mode: bool,
-    obs: Option<&ObsReport>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"transient\",\n");
-    // v2: adds the `counters` observability block.
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"variants\": {}, \"traces\": {}, \"flow_scales\": {}}},\n",
-        grid.len(),
-        grid.traces.len(),
-        grid.flow_scales.len()
-    ));
-    out.push_str(&format!(
-        "  \"dt_seconds\": {:.6e},\n",
-        options.config.dt_seconds
-    ));
-    out.push_str(&format!("  \"epoch_steps\": {},\n", options.epoch_steps));
-    out.push_str(&format!(
-        "  \"phase_seconds\": {:.6e},\n",
-        options.phase_seconds
-    ));
-    out.push_str(&format!(
-        "  \"stepper\": \"{}\",\n",
-        stepper_name(&options.config.stepper)
-    ));
-    push_record_tail(
-        &mut out,
-        report.workers,
-        fast_mode,
-        report.wall,
-        serial.map(|s| s.wall),
-        determinism_verified,
-        obs,
-    );
-    push_modulated_variants(
-        &mut out,
-        report.rows.iter().map(|row| {
-            (
-                row.variant.label(),
-                row.peak_gradient_modulated_k,
-                row.peak_gradient_frozen_k,
-                row.gradient_reduction,
-                row.epochs,
-                row.epochs_adopted,
-                row.evaluations,
-            )
-        }),
-    );
-    out
 }
 
 /// The transient mode: modulated-vs-frozen trace scenarios through the
@@ -682,20 +566,11 @@ fn run_transient_mode(args: &Args) -> ExitCode {
         options.epoch_steps,
     );
 
-    let session = obs_session(args);
-    let report = match run_transient_sweep(&grid, &options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("transient sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match obs_finish(args, session) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (report, obs) = match observed(args, "transient sweep", || {
+        run_transient_sweep(&grid, &options)
+    }) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     print_table(&report.to_table());
     println!(
@@ -709,116 +584,38 @@ fn run_transient_mode(args: &Args) -> ExitCode {
         mode: ExecutionMode::Serial,
         ..options.clone()
     };
-    finish_gated_mode(
+    let gate_rows = report.rows.iter().map(|row| {
+        let (modulated, frozen) = (row.peak_gradient_modulated_k, row.peak_gradient_frozen_k);
+        (row.variant.label(), modulated, frozen)
+    });
+    // v2: adds the `counters` observability block.
+    let header = vec![
+        grid_member(&[
+            ("variants", grid.len()),
+            ("traces", grid.traces.len()),
+            ("flow_scales", grid.flow_scales.len()),
+        ]),
+        ("dt_seconds", Json::scientific(options.config.dt_seconds, 6)),
+        ("epoch_steps", options.epoch_steps.into()),
+        ("phase_seconds", Json::scientific(options.phase_seconds, 6)),
+        ("stepper", stepper_name(&options.config.stepper).into()),
+    ];
+    let rows = report.rows.iter().map(|row| modulated_row!(row));
+    finish_mode(
         "transient",
-        &GateNames {
-            candidate: "modulated time-peak gradient",
-            baseline: "frozen uniform-width baseline",
-        },
         args,
-        available,
-        &report,
         report.wall,
         report.workers,
+        obs.as_ref(),
         || {
             run_transient_sweep(&grid, &serial_options)
                 .map_err(|e| format!("serial baseline failed: {e}"))
         },
         |s| s.rows == report.rows,
         |s| s.wall,
-        |r| {
-            r.rows
-                .iter()
-                .map(|row| {
-                    (
-                        row.variant.label(),
-                        row.peak_gradient_modulated_k,
-                        row.peak_gradient_frozen_k,
-                    )
-                })
-                .collect()
-        },
-        |serial, determinism_verified| {
-            transient_json_record(
-                &grid,
-                &options,
-                &report,
-                serial,
-                determinism_verified,
-                liquamod_bench::fast_mode(),
-                obs.as_ref(),
-            )
-        },
+        || beats_baseline(&MODULATED_GATE, gate_rows),
+        |tail| record("transient", 2, header, tail, variants(rows)),
     )
-}
-
-/// Renders the `BENCH_mpsoc.json` record; see the README's "Full-chip MPSoC
-/// modulation" section for the schema and how the CI bench-smoke job
-/// consumes it.
-fn mpsoc_json_record(
-    grid: &MpsocGrid,
-    options: &MpsocSweepOptions,
-    report: &MpsocReport,
-    serial: Option<&MpsocReport>,
-    determinism_verified: bool,
-    fast_mode: bool,
-    obs: Option<&ObsReport>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"mpsoc\",\n");
-    // v2: adds the `counters` observability block.
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"variants\": {}, \"archs\": {}, \"traces\": {}, \"flow_scales\": {}}},\n",
-        grid.len(),
-        grid.archs.len(),
-        grid.traces.len(),
-        grid.flow_scales.len()
-    ));
-    out.push_str(&format!(
-        "  \"stack\": {{\"nx\": {}, \"nz\": {}, \"n_groups\": {}}},\n",
-        options.config.nx, options.config.nz, options.config.n_groups
-    ));
-    out.push_str(&format!(
-        "  \"dt_seconds\": {:.6e},\n",
-        options.config.dt_seconds
-    ));
-    out.push_str(&format!(
-        "  \"epoch_policy\": \"{}\",\n",
-        json_escape(&format!("{:?}", options.policy))
-    ));
-    out.push_str(&format!(
-        "  \"phase_seconds\": {:.6e},\n",
-        options.phase_seconds
-    ));
-    out.push_str(&format!(
-        "  \"stepper\": \"{}\",\n",
-        stepper_name(&options.config.stepper)
-    ));
-    push_record_tail(
-        &mut out,
-        report.workers,
-        fast_mode,
-        report.wall,
-        serial.map(|s| s.wall),
-        determinism_verified,
-        obs,
-    );
-    push_modulated_variants(
-        &mut out,
-        report.rows.iter().map(|row| {
-            (
-                row.variant.label(),
-                row.peak_gradient_modulated_k,
-                row.peak_gradient_frozen_k,
-                row.gradient_reduction,
-                row.epochs,
-                row.epochs_adopted,
-                row.evaluations,
-            )
-        }),
-    );
-    out
 }
 
 /// `LIQUAMOD_FAST=1`'s coarsening of the full-chip stacks, shared by the
@@ -877,20 +674,9 @@ fn run_mpsoc_mode(args: &Args) -> ExitCode {
         ),
     }
 
-    let session = obs_session(args);
-    let report = match run_mpsoc_sweep(&grid, &options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mpsoc sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match obs_finish(args, session) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (report, obs) = match observed(args, "mpsoc sweep", || run_mpsoc_sweep(&grid, &options)) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     print_table(&report.to_table());
     println!(
@@ -904,175 +690,40 @@ fn run_mpsoc_mode(args: &Args) -> ExitCode {
         mode: ExecutionMode::Serial,
         ..options.clone()
     };
-    finish_gated_mode(
+    let gate_rows = report.rows.iter().map(|row| {
+        let (modulated, frozen) = (row.peak_gradient_modulated_k, row.peak_gradient_frozen_k);
+        (row.variant.label(), modulated, frozen)
+    });
+    // v2: adds the `counters` observability block.
+    let header = vec![
+        grid_member(&[
+            ("variants", grid.len()),
+            ("archs", grid.archs.len()),
+            ("traces", grid.traces.len()),
+            ("flow_scales", grid.flow_scales.len()),
+        ]),
+        stack_member(&options.config),
+        ("dt_seconds", Json::scientific(options.config.dt_seconds, 6)),
+        ("epoch_policy", debug_string(&options.policy)),
+        ("phase_seconds", Json::scientific(options.phase_seconds, 6)),
+        ("stepper", stepper_name(&options.config.stepper).into()),
+    ];
+    let rows = report.rows.iter().map(|row| modulated_row!(row));
+    finish_mode(
         "mpsoc",
-        &GateNames {
-            candidate: "modulated time-peak gradient",
-            baseline: "frozen uniform-width baseline",
-        },
         args,
-        available,
-        &report,
         report.wall,
         report.workers,
+        obs.as_ref(),
         || {
             run_mpsoc_sweep(&grid, &serial_options)
                 .map_err(|e| format!("serial baseline failed: {e}"))
         },
         |s| s.rows == report.rows,
         |s| s.wall,
-        |r| {
-            r.rows
-                .iter()
-                .map(|row| {
-                    (
-                        row.variant.label(),
-                        row.peak_gradient_modulated_k,
-                        row.peak_gradient_frozen_k,
-                    )
-                })
-                .collect()
-        },
-        |serial, determinism_verified| {
-            mpsoc_json_record(
-                &grid,
-                &options,
-                &report,
-                serial,
-                determinism_verified,
-                liquamod_bench::fast_mode(),
-                obs.as_ref(),
-            )
-        },
+        || beats_baseline(&MODULATED_GATE, gate_rows),
+        |tail| record("mpsoc", 2, header, tail, variants(rows)),
     )
-}
-
-/// Renders the `BENCH_fleet.json` record; see the README's "Fleet
-/// sharding" section for the schema and how the CI bench-smoke job
-/// consumes it.
-fn fleet_json_record(
-    grid: &FleetGrid,
-    options: &FleetSweepOptions,
-    report: &FleetReport,
-    serial: Option<&FleetReport>,
-    determinism_verified: bool,
-    fast_mode: bool,
-    obs: Option<&ObsReport>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"fleet\",\n");
-    // v2: adds `stepper` and `segment_wall_seconds` (the per-wavefront
-    // serial critical path of the segment-level scheduler).
-    // v4: adds the `counters` observability block.
-    // v5: the policy ladder grows to four — adds the per-variant
-    // predictive fields (`worst_gradient_predictive_k`,
-    // `predictive_reduction`, `predictive_margin`,
-    // `predictive_final_allocation`) and the surrogate-fit diagnostics
-    // (`predictive_forecast_hits`, `predictive_surrogate_refits`,
-    // `predictive_mean_abs_slope_k_per_scale`).
-    // v6: the greedy policy is gone — drops `worst_gradient_greedy_k` and
-    // `greedy_reduction`.
-    out.push_str("  \"schema_version\": 6,\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"variants\": {}, \"stacks\": {}, \"budget_scales\": {}}},\n",
-        grid.len(),
-        grid.stacks.len(),
-        grid.budget_scales.len()
-    ));
-    out.push_str(&format!(
-        "  \"stack\": {{\"nx\": {}, \"nz\": {}, \"n_groups\": {}}},\n",
-        options.config.nx, options.config.nz, options.config.n_groups
-    ));
-    out.push_str(&format!(
-        "  \"fleet\": [{}],\n",
-        grid.stacks
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(&s.label())))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"budget_scales\": [{}],\n",
-        grid.budget_scales
-            .iter()
-            .map(|b| format!("{b:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"dt_seconds\": {:.6e},\n",
-        options.config.dt_seconds
-    ));
-    out.push_str(&format!(
-        "  \"epoch_policy\": \"{}\",\n",
-        json_escape(&format!("{:?}", options.policy))
-    ));
-    out.push_str(&format!(
-        "  \"phase_seconds\": {:.6e},\n",
-        options.phase_seconds
-    ));
-    out.push_str(&format!(
-        "  \"segments_per_phase\": {},\n",
-        options.segments_per_phase
-    ));
-    out.push_str(&format!(
-        "  \"stepper\": \"{}\",\n",
-        stepper_name(&options.config.stepper)
-    ));
-    out.push_str(&format!(
-        "  \"segment_wall_seconds\": [{}],\n",
-        report
-            .segment_wall_seconds
-            .iter()
-            .map(|w| format!("{w:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    push_record_tail(
-        &mut out,
-        report.workers,
-        fast_mode,
-        report.wall,
-        serial.map(|s| s.wall),
-        determinism_verified,
-        obs,
-    );
-    out.push_str("  \"variants\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
-        let sep = if i + 1 == report.rows.len() { "" } else { "," };
-        let join6 = |shares: &[f64]| {
-            shares
-                .iter()
-                .map(|s| format!("{s:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let allocation = join6(&row.waterfill_final_allocation);
-        let predictive_allocation = join6(&row.predictive_final_allocation);
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"worst_gradient_uniform_k\": {:.6}, \
-             \"worst_gradient_waterfill_k\": {:.6}, \
-             \"worst_gradient_predictive_k\": {:.6}, \"waterfill_reduction\": {:.6}, \
-             \"predictive_reduction\": {:.6}, \"predictive_margin\": {:.6}, \
-             \"waterfill_final_allocation\": [{allocation}], \
-             \"predictive_final_allocation\": [{predictive_allocation}], \
-             \"predictive_forecast_hits\": {}, \"predictive_surrogate_refits\": {}, \
-             \"predictive_mean_abs_slope_k_per_scale\": {:.6}, \"evaluations\": {}}}{sep}\n",
-            json_escape(&row.variant.label()),
-            row.worst_gradient_uniform_k,
-            row.worst_gradient_waterfill_k,
-            row.worst_gradient_predictive_k,
-            row.waterfill_reduction,
-            row.predictive_reduction,
-            row.predictive_margin,
-            row.predictive_forecast_hits,
-            row.predictive_surrogate_refits,
-            row.predictive_mean_abs_slope_k_per_scale,
-            row.evaluations
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The fleet mode: several full-chip stacks co-optimized under one shared
@@ -1116,20 +767,9 @@ fn run_fleet_mode(args: &Args) -> ExitCode {
         options.policy,
     );
 
-    let session = obs_session(args);
-    let report = match run_fleet_sweep(&grid, &options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match obs_finish(args, session) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (report, obs) = match observed(args, "fleet sweep", || run_fleet_sweep(&grid, &options)) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     print_table(&report.to_table());
     println!(
@@ -1143,156 +783,113 @@ fn run_fleet_mode(args: &Args) -> ExitCode {
         mode: ExecutionMode::Serial,
         ..options.clone()
     };
-    finish_gated_mode(
+    // Two gate rows per variant: the reactive allocator must beat static
+    // provisioning, and the one-step MPC must beat the reactive allocator.
+    let gate_rows = report.rows.iter().flat_map(|row| {
+        let label = row.variant.label();
+        [
+            (
+                format!("{label} waterfill-vs-uniform"),
+                row.worst_gradient_waterfill_k,
+                row.worst_gradient_uniform_k,
+            ),
+            (
+                format!("{label} predictive-vs-waterfill"),
+                row.worst_gradient_predictive_k,
+                row.worst_gradient_waterfill_k,
+            ),
+        ]
+    });
+    let gate = GateNames {
+        candidate: "candidate policy's worst-stack time-peak gradient",
+        baseline: "policy one rung down the ladder",
+    };
+    // v2: adds `stepper` and `segment_wall_seconds` (the per-wavefront
+    // serial critical path of the segment-level scheduler).
+    // v4: adds the `counters` observability block.
+    // v5: the policy ladder grows to four — adds the per-variant predictive
+    // fields (`worst_gradient_predictive_k`, `predictive_reduction`,
+    // `predictive_margin`, `predictive_final_allocation`) and the
+    // surrogate-fit diagnostics (`predictive_forecast_hits`,
+    // `predictive_surrogate_refits`,
+    // `predictive_mean_abs_slope_k_per_scale`).
+    // v6: the greedy policy is gone — drops `worst_gradient_greedy_k` and
+    // `greedy_reduction`.
+    let header = vec![
+        grid_member(&[
+            ("variants", grid.len()),
+            ("stacks", grid.stacks.len()),
+            ("budget_scales", grid.budget_scales.len()),
+        ]),
+        stack_member(&options.config),
+        ("fleet", fleet_labels(&grid.stacks)),
+        ("budget_scales", fixed6_array(&grid.budget_scales)),
+        ("dt_seconds", Json::scientific(options.config.dt_seconds, 6)),
+        ("epoch_policy", debug_string(&options.policy)),
+        ("phase_seconds", Json::scientific(options.phase_seconds, 6)),
+        ("segments_per_phase", options.segments_per_phase.into()),
+        ("stepper", stepper_name(&options.config.stepper).into()),
+        (
+            "segment_wall_seconds",
+            fixed6_array(&report.segment_wall_seconds),
+        ),
+    ];
+    let rows = report.rows.iter().map(|row| {
+        Json::object([
+            ("label", row.variant.label().into()),
+            (
+                "worst_gradient_uniform_k",
+                fixed6(row.worst_gradient_uniform_k),
+            ),
+            (
+                "worst_gradient_waterfill_k",
+                fixed6(row.worst_gradient_waterfill_k),
+            ),
+            (
+                "worst_gradient_predictive_k",
+                fixed6(row.worst_gradient_predictive_k),
+            ),
+            ("waterfill_reduction", fixed6(row.waterfill_reduction)),
+            ("predictive_reduction", fixed6(row.predictive_reduction)),
+            ("predictive_margin", fixed6(row.predictive_margin)),
+            (
+                "waterfill_final_allocation",
+                fixed6_array(&row.waterfill_final_allocation),
+            ),
+            (
+                "predictive_final_allocation",
+                fixed6_array(&row.predictive_final_allocation),
+            ),
+            (
+                "predictive_forecast_hits",
+                row.predictive_forecast_hits.into(),
+            ),
+            (
+                "predictive_surrogate_refits",
+                row.predictive_surrogate_refits.into(),
+            ),
+            (
+                "predictive_mean_abs_slope_k_per_scale",
+                fixed6(row.predictive_mean_abs_slope_k_per_scale),
+            ),
+            ("evaluations", row.evaluations.into()),
+        ])
+    });
+    finish_mode(
         "fleet",
-        &GateNames {
-            candidate: "candidate policy's worst-stack time-peak gradient",
-            baseline: "policy one rung down the ladder",
-        },
         args,
-        available,
-        &report,
         report.wall,
         report.workers,
+        obs.as_ref(),
         || {
             run_fleet_sweep(&grid, &serial_options)
                 .map_err(|e| format!("serial baseline failed: {e}"))
         },
         |s| s.rows == report.rows,
         |s| s.wall,
-        |r| {
-            // Two gate rows per variant: the reactive allocator must beat
-            // static provisioning, and the one-step MPC must beat the
-            // reactive allocator.
-            r.rows
-                .iter()
-                .flat_map(|row| {
-                    [
-                        (
-                            format!("{} waterfill-vs-uniform", row.variant.label()),
-                            row.worst_gradient_waterfill_k,
-                            row.worst_gradient_uniform_k,
-                        ),
-                        (
-                            format!("{} predictive-vs-waterfill", row.variant.label()),
-                            row.worst_gradient_predictive_k,
-                            row.worst_gradient_waterfill_k,
-                        ),
-                    ]
-                })
-                .collect()
-        },
-        |serial, determinism_verified| {
-            fleet_json_record(
-                &grid,
-                &options,
-                &report,
-                serial,
-                determinism_verified,
-                liquamod_bench::fast_mode(),
-                obs.as_ref(),
-            )
-        },
+        || beats_baseline(&gate, gate_rows),
+        |tail| record("fleet", 6, header, tail, variants(rows)),
     )
-}
-
-/// Renders the `BENCH_faults.json` record; see the README's "Fault model &
-/// degraded operation" section for the schema and how the CI bench-smoke
-/// job consumes it.
-fn faults_json_record(
-    stacks: &[StackSpec],
-    options: &FaultsSweepOptions,
-    report: &FaultsReport,
-    serial: Option<&FaultsReport>,
-    determinism_verified: bool,
-    fast_mode: bool,
-    obs: Option<&ObsReport>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"faults\",\n");
-    // v2: adds the `counters` observability block.
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"scenarios\": {}, \"stacks\": {}}},\n",
-        report.rows.len(),
-        stacks.len()
-    ));
-    out.push_str(&format!(
-        "  \"stack\": {{\"nx\": {}, \"nz\": {}, \"n_groups\": {}}},\n",
-        options.fleet.config.nx, options.fleet.config.nz, options.fleet.config.n_groups
-    ));
-    out.push_str(&format!(
-        "  \"fleet\": [{}],\n",
-        stacks
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(&s.label())))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", options.seed));
-    out.push_str(&format!(
-        "  \"excursion_bound\": {:.6},\n",
-        report.excursion_bound
-    ));
-    out.push_str(&format!(
-        "  \"dt_seconds\": {:.6e},\n",
-        options.fleet.config.dt_seconds
-    ));
-    out.push_str(&format!(
-        "  \"epoch_policy\": \"{}\",\n",
-        json_escape(&format!("{:?}", options.fleet.policy))
-    ));
-    out.push_str(&format!(
-        "  \"phase_seconds\": {:.6e},\n",
-        options.fleet.phase_seconds
-    ));
-    out.push_str(&format!(
-        "  \"segments_per_phase\": {},\n",
-        options.fleet.segments_per_phase
-    ));
-    out.push_str(&format!(
-        "  \"stepper\": \"{}\",\n",
-        stepper_name(&options.fleet.config.stepper)
-    ));
-    push_record_tail(
-        &mut out,
-        report.workers,
-        fast_mode,
-        report.wall,
-        serial.map(|s| s.wall),
-        determinism_verified,
-        obs,
-    );
-    out.push_str("  \"variants\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
-        let sep = if i + 1 == report.rows.len() { "" } else { "," };
-        let aware = row.aware_worst_gradient_k();
-        let oblivious = row.oblivious_worst_gradient_k();
-        let kinds = row
-            .aware
-            .degraded
-            .iter()
-            .map(|e| format!("\"{}\"", e.kind.label()))
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"worst_gradient_aware_k\": {aware:.6}, \
-             \"worst_gradient_oblivious_k\": {oblivious:.6}, \"aware_margin\": {:.6}, \
-             \"peak_temperature_aware_k\": {:.6}, \"degraded_events\": {}, \
-             \"degraded_kinds\": [{kinds}], \"evaluations_aware\": {}, \
-             \"evaluations_oblivious\": {}}}{sep}\n",
-            json_escape(row.scenario.label()),
-            (oblivious - aware) / oblivious.max(1e-12),
-            row.aware.peak_temperature_k(),
-            row.aware.degraded.len(),
-            row.aware.total_evaluations(),
-            row.oblivious.total_evaluations(),
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The faults mode's robustness gate: per scenario, the fault-aware
@@ -1349,8 +946,8 @@ fn run_faults_mode(args: &Args) -> ExitCode {
     let mut options = FaultsSweepOptions::fast(stacks.len(), mode);
     coarsen_if_fast(&mut options.fleet.config);
     options.fleet.config.stepper = args.stepper.clone();
-    let steps_per_phase =
-        (options.fleet.phase_seconds / options.fleet.config.dt_seconds).round() as usize;
+    let fleet = &options.fleet;
+    let steps_per_phase = (fleet.phase_seconds / fleet.config.dt_seconds).round() as usize;
     println!(
         "grid: {} scenarios x {{aware, oblivious}} over a {}-stack fleet; \
          {available} core(s) available",
@@ -1367,33 +964,23 @@ fn run_faults_mode(args: &Args) -> ExitCode {
     );
     println!(
         "stack: {} channels x {} cells, {} width groups per cavity, two cavities",
-        options.fleet.config.nx, options.fleet.config.nz, options.fleet.config.n_groups,
+        fleet.config.nx, fleet.config.nz, fleet.config.n_groups,
     );
     println!(
         "clock: dt = {:.1} ms, {} steps per {:.0} ms phase, {} reallocation segment(s) per \
          phase, epoch policy {:?}, fault seed {}",
-        options.fleet.config.dt_seconds * 1e3,
+        fleet.config.dt_seconds * 1e3,
         steps_per_phase,
-        options.fleet.phase_seconds * 1e3,
-        options.fleet.segments_per_phase,
-        options.fleet.policy,
+        fleet.phase_seconds * 1e3,
+        fleet.segments_per_phase,
+        fleet.policy,
         options.seed,
     );
 
-    let session = obs_session(args);
-    let report = match run_faults_sweep(&stacks, &options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("faults sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match obs_finish(args, session) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (report, obs) = match observed(args, "faults sweep", || run_faults_sweep(&stacks, &options))
+    {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     print_table(&report.to_table());
     println!(
@@ -1403,184 +990,64 @@ fn run_faults_mode(args: &Args) -> ExitCode {
         report.workers,
     );
 
-    let serial_options = {
-        let mut o = options.clone();
-        o.fleet.mode = ExecutionMode::Serial;
-        o
-    };
-    let mut serial_report = None;
-    let mut determinism_verified = false;
-    let mut failure: Option<String> = None;
-    if !args.serial && args.baseline {
-        match serial_baseline(
-            "faults",
-            report.wall,
-            report.workers,
-            available,
-            || {
-                run_faults_sweep(&stacks, &serial_options)
-                    .map_err(|e| format!("serial baseline failed: {e}"))
-            },
-            |s: &FaultsReport| s.rows == report.rows,
-            |s| s.wall,
-        ) {
-            Ok(serial) => {
-                determinism_verified = true;
-                serial_report = Some(serial);
-            }
-            Err(e) => failure = Some(e),
-        }
-    }
-    if failure.is_none() {
-        failure = faults_gate(&report);
-    }
-    // Like the other gated modes, the record is written even on a gate
-    // failure — the failing run's per-scenario numbers are the diagnostic.
-    if let Some(path) = &args.json {
-        let record = faults_json_record(
-            &stacks,
-            &options,
-            &report,
-            serial_report.as_ref(),
-            determinism_verified,
-            liquamod_bench::fast_mode(),
-            obs.as_ref(),
-        );
-        if let Err(e) = write_record(path, "faults", &record) {
-            if let Some(gate) = &failure {
-                eprintln!("error: {gate}");
-            }
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(e) = failure {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Renders the `BENCH_serve.json` record; see PERFORMANCE.md's "Streaming
-/// service soak" section for the schema and how the CI bench-smoke job
-/// consumes it.
-// One parameter per independent measurement the record reports; bundling
-// them into a struct would just move the same eight names elsewhere.
-#[allow(clippy::too_many_arguments)]
-fn serve_json_record(
-    plan: &SoakPlan,
-    options: &ServeOptions,
-    identity: &StreamingIdentity,
-    fidelity: &SnapshotFidelity,
-    outcome: &SoakOutcome,
-    serial: Option<&SoakOutcome>,
-    determinism_verified: bool,
-    fast_mode: bool,
-    obs: Option<&ObsReport>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve\",\n");
+    let mut serial_options = options.clone();
+    serial_options.fleet.mode = ExecutionMode::Serial;
     // v2: adds the `counters` observability block.
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!(
-        "  \"plan\": {{\"sessions\": {}, \"phases_per_session\": {}, \"initial_sessions\": {}, \
-         \"arrivals_per_batch\": {}, \"restore_at_batch\": {}}},\n",
-        plan.sessions.len(),
-        plan.phases_per_session,
-        plan.initial_sessions,
-        plan.arrivals_per_batch,
-        plan.restore_at_batch
-            .map_or_else(|| "null".to_string(), |v| v.to_string()),
-    ));
-    out.push_str(&format!(
-        "  \"stack\": {{\"nx\": {}, \"nz\": {}, \"n_groups\": {}}},\n",
-        options.config.nx, options.config.nz, options.config.n_groups
-    ));
-    out.push_str(&format!(
-        "  \"phase_seconds\": {:.6e},\n",
-        plan.phase_seconds
-    ));
-    out.push_str(&format!(
-        "  \"dt_seconds\": {:.6e},\n",
-        options.config.dt_seconds
-    ));
-    out.push_str(&format!(
-        "  \"epoch_policy\": \"{}\",\n",
-        json_escape(&format!("{:?}", options.policy))
-    ));
-    out.push_str(&format!(
-        "  \"budget_policy\": \"{}\",\n",
-        json_escape(&format!("{:?}", options.budget_policy))
-    ));
-    out.push_str(&format!(
-        "  \"planned_capacity\": {},\n",
-        options.planned_capacity
-    ));
-    out.push_str(&format!(
-        "  \"stepper\": \"{}\",\n",
-        stepper_name(&options.config.stepper)
-    ));
-    push_record_tail(
-        &mut out,
-        options.workers,
-        fast_mode,
-        std::time::Duration::from_secs_f64(outcome.wall_seconds),
-        serial.map(|s| std::time::Duration::from_secs_f64(s.wall_seconds)),
-        determinism_verified,
-        obs,
-    );
-    out.push_str(&format!(
-        "  \"streaming_identity\": {{\"steps\": {}, \"epochs\": {}, \"bitwise\": {}, \
-         \"max_abs_diff_k\": {:.3e}}},\n",
-        identity.steps, identity.epochs, identity.bitwise, identity.max_abs_diff_k
-    ));
-    out.push_str(&format!(
-        "  \"snapshot_restore\": {{\"steps\": {}, \"bitwise\": {}, \"json_round_trip\": {}, \
-         \"max_abs_diff_k\": {:.3e}, \"snapshot_bytes\": {}}},\n",
-        fidelity.steps,
-        fidelity.bitwise,
-        fidelity.json_round_trip,
-        fidelity.max_abs_diff_k,
-        fidelity.snapshot_bytes
-    ));
-    let kinds = outcome
-        .event_kind_counts()
-        .into_iter()
-        .map(|(label, n)| format!("\"{}\": {n}", json_escape(label)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!(
-        "  \"soak\": {{\"decisions\": {}, \"batches\": {}, \"sessions_served\": {}, \
-         \"snapshots\": {}, \"epochs\": {}, \"evaluations\": {}, \"degraded_events\": {}, \
-         \"peak_gradient_k\": {:.6}, \"decisions_per_second\": {:.4}, \
-         \"sessions_per_second\": {:.4}, \"decisions_per_second_per_core\": {:.4}, \
-         \"event_kinds\": {{{kinds}}}}},\n",
-        outcome.decisions.len(),
-        outcome.batches,
-        outcome.sessions_served,
-        outcome.snapshots.len(),
-        outcome.metrics.epochs,
-        outcome.metrics.evaluations,
-        outcome.metrics.degraded_events,
-        outcome.peak_gradient_k(),
-        outcome.decisions_per_second(),
-        outcome.sessions_per_second(),
-        outcome.decisions_per_second() / available_cores() as f64,
-    ));
-    let latency = &outcome.metrics.latency;
-    out.push_str(&format!(
-        "  \"decision_latency\": {{\"samples\": {}, \"mean_seconds\": {:.6e}, \
-         \"p50_seconds\": {:.6e}, \"p99_seconds\": {:.6e}, \"min_seconds\": {:.6e}, \
-         \"max_seconds\": {:.6e}}}\n",
-        latency.count(),
-        latency.mean_seconds(),
-        latency.quantile(0.5),
-        latency.quantile(0.99),
-        latency.min_seconds(),
-        latency.max_seconds()
-    ));
-    out.push_str("}\n");
-    out
+    let header = vec![
+        grid_member(&[("scenarios", report.rows.len()), ("stacks", stacks.len())]),
+        stack_member(&fleet.config),
+        ("fleet", fleet_labels(&stacks)),
+        ("seed", options.seed.into()),
+        ("excursion_bound", fixed6(report.excursion_bound)),
+        ("dt_seconds", Json::scientific(fleet.config.dt_seconds, 6)),
+        ("epoch_policy", debug_string(&fleet.policy)),
+        ("phase_seconds", Json::scientific(fleet.phase_seconds, 6)),
+        ("segments_per_phase", fleet.segments_per_phase.into()),
+        ("stepper", stepper_name(&fleet.config.stepper).into()),
+    ];
+    let rows = report.rows.iter().map(|row| {
+        let aware = row.aware_worst_gradient_k();
+        let oblivious = row.oblivious_worst_gradient_k();
+        let kinds: BTreeSet<&str> = row.aware.degraded.iter().map(|e| e.kind.label()).collect();
+        Json::object([
+            ("label", row.scenario.label().into()),
+            ("worst_gradient_aware_k", fixed6(aware)),
+            ("worst_gradient_oblivious_k", fixed6(oblivious)),
+            (
+                "aware_margin",
+                fixed6((oblivious - aware) / oblivious.max(1e-12)),
+            ),
+            (
+                "peak_temperature_aware_k",
+                fixed6(row.aware.peak_temperature_k()),
+            ),
+            ("degraded_events", row.aware.degraded.len().into()),
+            (
+                "degraded_kinds",
+                Json::Array(kinds.into_iter().map(Json::from).collect()),
+            ),
+            ("evaluations_aware", row.aware.total_evaluations().into()),
+            (
+                "evaluations_oblivious",
+                row.oblivious.total_evaluations().into(),
+            ),
+        ])
+    });
+    finish_mode(
+        "faults",
+        args,
+        report.wall,
+        report.workers,
+        obs.as_ref(),
+        || {
+            run_faults_sweep(&stacks, &serial_options)
+                .map_err(|e| format!("serial baseline failed: {e}"))
+        },
+        |s| s.rows == report.rows,
+        |s| s.wall,
+        || faults_gate(&report),
+        |tail| record("faults", 2, header, tail, variants(rows)),
+    )
 }
 
 /// The serve mode's acceptance gates, short of the soak determinism check
@@ -1704,20 +1171,9 @@ fn run_serve_mode(args: &Args) -> ExitCode {
         }
     };
 
-    let session = obs_session(args);
-    let outcome = match run_soak(&options, &plan) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("serve soak failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match obs_finish(args, session) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (outcome, obs) = match observed(args, "serve soak", || run_soak(&options, &plan)) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     println!(
         "soak: {} decisions over {} batches in {:.2} s on {} worker(s) — {:.2} decisions/s, \
@@ -1731,60 +1187,113 @@ fn run_serve_mode(args: &Args) -> ExitCode {
         outcome.metrics.degraded_events,
     );
 
-    let mut serial_outcome = None;
-    let mut determinism_verified = false;
-    let mut failure: Option<String> = None;
-    if !args.serial && args.baseline {
-        let serial_options = ServeOptions {
-            workers: 1,
-            ..options.clone()
-        };
-        match serial_baseline(
-            "serve",
-            std::time::Duration::from_secs_f64(outcome.wall_seconds),
-            options.workers,
-            available,
-            || run_soak(&serial_options, &plan).map_err(|e| format!("serial soak failed: {e}")),
-            |s: &SoakOutcome| soak_outcomes_match(s, &outcome),
-            |s| std::time::Duration::from_secs_f64(s.wall_seconds),
-        ) {
-            Ok(serial) => {
-                determinism_verified = true;
-                serial_outcome = Some(serial);
-            }
-            Err(e) => failure = Some(e),
-        }
-    }
-    if failure.is_none() {
-        failure = serve_gate(&identity, &fidelity);
-    }
-    // Like the other gated modes, the record is written even on a gate
-    // failure — the failing run's measurements are the diagnostic.
-    if let Some(path) = &args.json {
-        let record = serve_json_record(
-            &plan,
-            &options,
-            &identity,
-            &fidelity,
-            &outcome,
-            serial_outcome.as_ref(),
-            determinism_verified,
-            liquamod_bench::fast_mode(),
-            obs.as_ref(),
-        );
-        if let Err(e) = write_record(path, "serve", &record) {
-            if let Some(gate) = &failure {
-                eprintln!("error: {gate}");
-            }
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(e) = failure {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let serial_options = ServeOptions {
+        workers: 1,
+        ..options.clone()
+    };
+    // v2: adds the `counters` observability block.
+    let header = vec![
+        (
+            "plan",
+            Json::object([
+                ("sessions", plan.sessions.len().into()),
+                ("phases_per_session", plan.phases_per_session.into()),
+                ("initial_sessions", plan.initial_sessions.into()),
+                ("arrivals_per_batch", plan.arrivals_per_batch.into()),
+                ("restore_at_batch", plan.restore_at_batch.into()),
+            ]),
+        ),
+        stack_member(&config),
+        ("phase_seconds", Json::scientific(plan.phase_seconds, 6)),
+        ("dt_seconds", Json::scientific(config.dt_seconds, 6)),
+        ("epoch_policy", debug_string(&policy)),
+        ("budget_policy", debug_string(&options.budget_policy)),
+        ("planned_capacity", options.planned_capacity.into()),
+        ("stepper", stepper_name(&config.stepper).into()),
+    ];
+    let latency = &outcome.metrics.latency;
+    let per_second = |v: f64| Json::fixed(v, 4);
+    let seconds = |v: f64| Json::scientific(v, 6);
+    let kinds = outcome.event_kind_counts().into_iter();
+    let results = vec![
+        (
+            "streaming_identity",
+            Json::object([
+                ("steps", identity.steps.into()),
+                ("epochs", identity.epochs.into()),
+                ("bitwise", identity.bitwise.into()),
+                (
+                    "max_abs_diff_k",
+                    Json::scientific(identity.max_abs_diff_k, 3),
+                ),
+            ]),
+        ),
+        (
+            "snapshot_restore",
+            Json::object([
+                ("steps", fidelity.steps.into()),
+                ("bitwise", fidelity.bitwise.into()),
+                ("json_round_trip", fidelity.json_round_trip.into()),
+                (
+                    "max_abs_diff_k",
+                    Json::scientific(fidelity.max_abs_diff_k, 3),
+                ),
+                ("snapshot_bytes", fidelity.snapshot_bytes.into()),
+            ]),
+        ),
+        (
+            "soak",
+            Json::object([
+                ("decisions", outcome.decisions.len().into()),
+                ("batches", outcome.batches.into()),
+                ("sessions_served", outcome.sessions_served.into()),
+                ("snapshots", outcome.snapshots.len().into()),
+                ("epochs", outcome.metrics.epochs.into()),
+                ("evaluations", outcome.metrics.evaluations.into()),
+                ("degraded_events", outcome.metrics.degraded_events.into()),
+                ("peak_gradient_k", fixed6(outcome.peak_gradient_k())),
+                (
+                    "decisions_per_second",
+                    per_second(outcome.decisions_per_second()),
+                ),
+                (
+                    "sessions_per_second",
+                    per_second(outcome.sessions_per_second()),
+                ),
+                (
+                    "decisions_per_second_per_core",
+                    per_second(outcome.decisions_per_second() / available as f64),
+                ),
+                (
+                    "event_kinds",
+                    Json::object(kinds.map(|(k, n)| (k, n.into()))),
+                ),
+            ]),
+        ),
+        (
+            "decision_latency",
+            Json::object([
+                ("samples", latency.count().into()),
+                ("mean_seconds", seconds(latency.mean_seconds())),
+                ("p50_seconds", seconds(latency.quantile(0.5))),
+                ("p99_seconds", seconds(latency.quantile(0.99))),
+                ("min_seconds", seconds(latency.min_seconds())),
+                ("max_seconds", seconds(latency.max_seconds())),
+            ]),
+        ),
+    ];
+    finish_mode(
+        "serve",
+        args,
+        Duration::from_secs_f64(outcome.wall_seconds),
+        options.workers,
+        obs.as_ref(),
+        || run_soak(&serial_options, &plan).map_err(|e| format!("serial soak failed: {e}")),
+        |s| soak_outcomes_match(s, &outcome),
+        |s| Duration::from_secs_f64(s.wall_seconds),
+        || serve_gate(&identity, &fidelity),
+        |tail| record("serve", 2, header, tail, results),
+    )
 }
 
 fn main() -> ExitCode {
@@ -1838,20 +1347,9 @@ fn main() -> ExitCode {
         ..SweepOptions::fast(mode)
     };
 
-    let session = obs_session(&args);
-    let report = match run_sweep(&grid, &options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match obs_finish(&args, session) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (report, obs) = match observed(&args, "sweep", || run_sweep(&grid, &options)) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     print_table(&report.to_table());
     if let Some(best) = report.best_by_gradient() {
@@ -1866,60 +1364,51 @@ fn main() -> ExitCode {
     let main_label = if args.serial { "serial" } else { "parallel" };
     report_stats(main_label, &report);
 
-    let mut serial_report = None;
-    let mut determinism_verified = false;
-    let mut gate_failure: Option<String> = None;
-    if !args.serial && args.baseline {
-        let serial_options = SweepOptions {
-            mode: ExecutionMode::Serial,
-            ..options.clone()
-        };
-        match serial_baseline(
-            "sweep",
-            report.wall,
-            report.workers,
-            available,
-            || {
-                let serial = run_sweep(&grid, &serial_options)
-                    .map_err(|e| format!("serial baseline failed: {e}"))?;
-                report_stats("serial baseline (--serial)", &serial);
-                Ok(serial)
-            },
-            |s| s.rows == report.rows,
-            |s| s.wall,
-        ) {
-            Ok(serial) => {
-                determinism_verified = true;
-                serial_report = Some(serial);
-            }
-            Err(e) => gate_failure = Some(e),
-        }
-    }
-
-    // Like the transient mode, the record is written even when the
-    // determinism gate failed — that run's record is the diagnostic.
-    if let Some(path) = &args.json {
-        let record = json_record(
-            &grid,
-            &report,
-            serial_report.as_ref(),
-            determinism_verified,
-            liquamod_bench::fast_mode(),
-            obs.as_ref(),
-        );
-        if let Err(e) = write_record(path, "sweep", &record) {
-            // Don't let a write failure swallow an already-detected gate
-            // failure — that diagnosis matters more than the record.
-            if let Some(gate) = &gate_failure {
-                eprintln!("error: {gate}");
-            }
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(e) = gate_failure {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let serial_options = SweepOptions {
+        mode: ExecutionMode::Serial,
+        ..options.clone()
+    };
+    // v2: adds the `counters` observability block.
+    let header = vec![grid_member(&[
+        ("variants", grid.len()),
+        ("loads", grid.loads.len()),
+        ("flux_scales", grid.flux_scales.len()),
+        ("flow_scales", grid.flow_scales.len()),
+    ])];
+    let rows = report.rows.iter().map(|row| {
+        Json::object([
+            ("label", row.variant.label().into()),
+            ("evaluations", row.evaluations.into()),
+            ("gradient_opt_k", fixed6(row.gradient_opt_k)),
+            ("gradient_reduction", fixed6(row.gradient_reduction)),
+            ("feasible", row.feasible.into()),
+        ])
+    });
+    finish_mode(
+        "sweep",
+        &args,
+        report.wall,
+        report.workers,
+        obs.as_ref(),
+        || {
+            let serial = run_sweep(&grid, &serial_options)
+                .map_err(|e| format!("serial baseline failed: {e}"))?;
+            report_stats("serial baseline (--serial)", &serial);
+            Ok(serial)
+        },
+        |s| s.rows == report.rows,
+        |s| s.wall,
+        // The steady mode gates on determinism only.
+        || None,
+        |mut tail| {
+            // The steady record predates the shared tail: it reports the
+            // warm-start flag after the core count and its throughput
+            // right after the wall time.
+            tail.insert(2, ("warm_start", report.warm_start.into()));
+            let throughput = Json::fixed(report.throughput_per_second(), 4);
+            tail.insert(5, ("throughput_variants_per_second", throughput));
+            tail.insert(6, ("total_evaluations", report.total_evaluations().into()));
+            record("sweep", 2, header, tail, variants(rows))
+        },
+    )
 }

@@ -42,6 +42,14 @@ pub enum CoreError {
         /// when the budget was already infeasible at entry.
         segment: Option<usize>,
     },
+    /// A JSON document (session snapshot, resume state, golden fixture,
+    /// BENCH record) does not parse strictly or lacks what its schema
+    /// reads — see [`crate::json`].
+    InvalidDocument {
+        /// Human-readable description, with the byte offset for parse
+        /// errors.
+        what: String,
+    },
     /// A sweep/fleet worker thread panicked while evaluating one scheduling
     /// unit. The panic is caught at the fan-out boundary and surfaced as a
     /// typed error so long-running hosts (the serve pool, the bench
@@ -65,6 +73,7 @@ impl fmt::Display for CoreError {
             CoreError::Floorplan(e) => write!(f, "floorplan: {e}"),
             CoreError::OptimalControl(e) => write!(f, "optimizer: {e}"),
             CoreError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
+            CoreError::InvalidDocument { what } => write!(f, "invalid document: {what}"),
             CoreError::BudgetInfeasible {
                 total_scale,
                 min_scale,
@@ -101,6 +110,7 @@ impl std::error::Error for CoreError {
             CoreError::Floorplan(e) => Some(e),
             CoreError::OptimalControl(e) => Some(e),
             CoreError::InvalidConfig { .. }
+            | CoreError::InvalidDocument { .. }
             | CoreError::BudgetInfeasible { .. }
             | CoreError::WorkerPanicked { .. } => None,
         }

@@ -42,8 +42,8 @@ use crate::fleet::{
     allocate_with, run_fleet_lanes, BudgetPolicy, FleetLane, FleetOptions, FleetOutcome,
     PredictiveContext, PumpBudget, StackSpec,
 };
+use crate::json::Json;
 use crate::obs;
-use crate::transient::golden_num_array;
 use crate::{CoreError, CsvTable, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -810,25 +810,18 @@ pub fn run_faulted_fleet(
 /// encodes "not applicable").
 #[must_use]
 pub fn golden_json(outcome: &FleetOutcome, scenario: &str, aware: bool) -> String {
-    let events: Vec<String> = outcome
-        .degraded
-        .iter()
-        .map(|e| {
-            golden_num_array(
-                [
-                    f64::from(e.kind.code()),
-                    e.segment.map_or(-1.0, |s| s as f64),
-                    e.stack.map_or(-1.0, |s| s as f64),
-                    e.time_seconds,
-                ]
-                .into_iter(),
-            )
-        })
-        .collect();
+    let events = outcome.degraded.iter().map(|e| {
+        Json::numbers([
+            f64::from(e.kind.code()),
+            e.segment.map_or(-1.0, |s| s as f64),
+            e.stack.map_or(-1.0, |s| s as f64),
+            e.time_seconds,
+        ])
+    });
     outcome.golden_document(
         scenario,
-        &format!("\"aware\": {}", u8::from(aware)),
-        &[("degraded_events", format!("[{}]", events.join(", ")))],
+        ("aware", u8::from(aware).into()),
+        vec![("degraded_events", Json::Array(events.collect()))],
     )
 }
 

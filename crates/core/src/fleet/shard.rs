@@ -5,12 +5,11 @@ use super::allocator::{
     forecast_is_informative, BudgetPolicy, PredictiveContext, PumpBudget, SurrogateModel,
 };
 use crate::faults::{DegradedEvent, FaultPosture, SegmentFaults};
+use crate::json::Json;
 use crate::mpsoc::{ArchSpec, MpsocModulated, MpsocTrace, MpsocTraceSpec};
 use crate::obs;
 use crate::sweep::{parallel_map, ExecutionMode};
-use crate::transient::{
-    golden_num_array, EpochPolicy, ModulationPolicy, ResumeState, TransientOutcome,
-};
+use crate::transient::{EpochPolicy, ModulationPolicy, ResumeState, TransientOutcome};
 use crate::{mpsoc::MpsocConfig, CoreError, CsvTable, Result};
 use liquamod_floorplan::arch::Architecture;
 use liquamod_floorplan::trace::{Phase, PowerTrace};
@@ -302,69 +301,48 @@ impl FleetOutcome {
         let diag = self.predictive.unwrap_or_default();
         self.golden_document(
             scenario,
-            &format!("\"policy\": \"{}\"", self.allocation.label()),
-            &[
-                ("forecast_hits", format!("{:e}", diag.forecast_hits as f64)),
-                (
-                    "surrogate_refits",
-                    format!("{:e}", diag.surrogate_refits as f64),
-                ),
+            ("policy", self.allocation.label().into()),
+            vec![
+                ("forecast_hits", (diag.forecast_hits as f64).into()),
+                ("surrogate_refits", (diag.surrogate_refits as f64).into()),
             ],
         )
     }
 
     /// The golden-fixture document every fleet-run fixture shares: the
-    /// schema and scenario, one schema-specific `header` line, the
+    /// schema and scenario, one schema-specific `header` member, the
     /// allocations and per-stack segment channels, the schema-specific
-    /// `tail` entries, and the headline worst gradient.
+    /// `tail` members, and the headline worst gradient.
     pub(crate) fn golden_document(
         &self,
         scenario: &str,
-        header: &str,
-        tail: &[(&str, String)],
+        header: (&'static str, Json),
+        tail: Vec<(&'static str, Json)>,
     ) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!("  {header},\n"));
-        let allocations: Vec<String> = self
-            .allocations
-            .iter()
-            .map(|a| golden_num_array(a.iter().copied()))
-            .collect();
-        out.push_str(&format!(
-            "  \"allocations\": [{}],\n",
-            allocations.join(", ")
-        ));
-        let per_stack = |f: &dyn Fn(&SegmentMetrics) -> f64| -> String {
-            let rows: Vec<String> = self
-                .stacks
-                .iter()
-                .map(|s| golden_num_array(s.segments.iter().map(f)))
-                .collect();
-            format!("[{}]", rows.join(", "))
+        let per_stack = |f: fn(&SegmentMetrics) -> f64| {
+            Json::Array(
+                self.stacks
+                    .iter()
+                    .map(|s| Json::numbers(s.segments.iter().map(f)))
+                    .collect(),
+            )
         };
-        out.push_str(&format!(
-            "  \"segment_gradient_k\": {},\n",
-            per_stack(&|m| m.peak_gradient_k)
+        let allocations = self.allocations.iter().map(Json::numbers);
+        let mut members = vec![
+            ("schema_version", 1usize.into()),
+            ("scenario", scenario.into()),
+            header,
+            ("allocations", Json::Array(allocations.collect())),
+            ("segment_gradient_k", per_stack(|m| m.peak_gradient_k)),
+            ("segment_temperature_k", per_stack(|m| m.peak_temperature_k)),
+            ("segment_evaluations", per_stack(|m| m.evaluations as f64)),
+        ];
+        members.extend(tail);
+        members.push((
+            "worst_gradient_k",
+            self.worst_stack_peak_gradient_k().into(),
         ));
-        out.push_str(&format!(
-            "  \"segment_temperature_k\": {},\n",
-            per_stack(&|m| m.peak_temperature_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_evaluations\": {},\n",
-            per_stack(&|m| m.evaluations as f64)
-        ));
-        for (key, value) in tail {
-            out.push_str(&format!("  \"{key}\": {value},\n"));
-        }
-        out.push_str(&format!(
-            "  \"worst_gradient_k\": {:e}\n",
-            self.worst_stack_peak_gradient_k()
-        ));
-        out.push_str("}\n");
-        out
+        Json::object(members).to_document()
     }
 }
 

@@ -36,7 +36,8 @@
 //!   observability layer — hierarchical spans, a named-counter registry
 //!   and Perfetto-loadable trace exports, recorded thread-locally and
 //!   merged through the same index-ordered join that keeps parallel runs
-//!   bitwise-equal to serial ones.
+//!   bitwise-equal to serial ones. Every snapshot, golden fixture, BENCH
+//!   record and export is written and strictly read through [`json`].
 //!
 //! # Quickstart
 //!
@@ -63,6 +64,7 @@ mod error;
 pub mod experiments;
 pub mod faults;
 pub mod fleet;
+pub mod json;
 pub mod mpsoc;
 pub mod obs;
 mod scenario;

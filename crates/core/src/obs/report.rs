@@ -5,6 +5,7 @@
 
 use super::counters::ObsEvent;
 use super::LocalBuf;
+use crate::json::Json;
 use crate::CsvTable;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -66,22 +67,6 @@ pub(crate) fn resolve(buf: LocalBuf, epoch: Instant) -> ObsReport {
     }
 }
 
-/// Minimal JSON string escaping for event labels/details.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn opt_json(v: Option<impl std::fmt::Display>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 impl ObsReport {
     /// The final value of a named counter (0 when never incremented).
     #[must_use]
@@ -93,13 +78,14 @@ impl ObsReport {
     /// `counters` block of the BENCH record shared tail. `{}` when empty.
     #[must_use]
     pub fn counters_json(&self) -> String {
-        let body = self
-            .counters
-            .iter()
-            .map(|(name, value)| format!("\"{}\": {value}", json_escape(name)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!("{{{body}}}")
+        self.counters_value().to_string()
+    }
+
+    /// [`ObsReport::counters_json`] as a [`Json`] value, for embedding in a
+    /// record.
+    #[must_use]
+    pub fn counters_value(&self) -> Json {
+        Json::object(self.counters.iter().map(|(&name, &v)| (name, v.into())))
     }
 
     /// The deterministic JSONL event log: one line per span (name, depth,
@@ -108,33 +94,37 @@ impl ObsReport {
     /// across runs and worker counts for a deterministic workload.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, s) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"type\": \"span\", \"seq\": {seq}, \"name\": \"{}\", \"depth\": {}, \
-                 \"parent\": {}, \"lane\": {}}}\n",
-                json_escape(s.name),
-                s.depth,
-                opt_json(s.parent),
-                opt_json(s.lane),
-            ));
-        }
-        for (seq, e) in self.events.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"type\": \"event\", \"seq\": {seq}, \"label\": \"{}\", \"detail\": \"{}\", \
-                 \"lane\": {}}}\n",
-                json_escape(&e.label),
-                json_escape(&e.detail),
-                opt_json(e.lane),
-            ));
-        }
-        for (name, value) in &self.counters {
-            out.push_str(&format!(
-                "{{\"type\": \"counter\", \"name\": \"{}\", \"value\": {value}}}\n",
-                json_escape(name),
-            ));
-        }
-        out
+        let spans = self.spans.iter().enumerate().map(|(seq, s)| {
+            Json::object([
+                ("type", "span".into()),
+                ("seq", seq.into()),
+                ("name", s.name.into()),
+                ("depth", s.depth.into()),
+                ("parent", s.parent.into()),
+                ("lane", s.lane.into()),
+            ])
+        });
+        let events = self.events.iter().enumerate().map(|(seq, e)| {
+            Json::object([
+                ("type", "event".into()),
+                ("seq", seq.into()),
+                ("label", e.label.as_str().into()),
+                ("detail", e.detail.as_str().into()),
+                ("lane", e.lane.into()),
+            ])
+        });
+        let counters = self.counters.iter().map(|(&name, &value)| {
+            Json::object([
+                ("type", "counter".into()),
+                ("name", name.into()),
+                ("value", value.into()),
+            ])
+        });
+        spans
+            .chain(events)
+            .chain(counters)
+            .map(|line| format!("{line}\n"))
+            .collect()
     }
 
     /// The Chrome trace-event JSON export (`chrome://tracing` /

@@ -9,6 +9,7 @@
 //! relying on timestamps (the checked-in golden trace has them zeroed).
 
 use super::report::ObsReport;
+use crate::json::Json;
 use std::collections::BTreeSet;
 
 /// The `pid` a span renders under: lanes are 1-based processes, everything
@@ -17,76 +18,67 @@ fn pid(lane: Option<u32>) -> u32 {
     lane.map_or(0, |l| l + 1)
 }
 
-/// Renders the report as a Chrome trace-event JSON string.
+/// Renders the report as a Chrome trace-event JSON string: the
+/// `{"traceEvents": [` envelope around one inline event per line.
 pub(super) fn render(report: &ObsReport) -> String {
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str("  ");
-        out.push_str(&line);
+    let meta = |name: &str, pid: u32, tid: u32, label: String| {
+        Json::object([
+            ("ph", "M".into()),
+            ("name", name.into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("args", Json::object([("name", label.into())])),
+        ])
     };
-
     // Metadata: name every process and thread that appears.
     let pids: BTreeSet<u32> = report.spans.iter().map(|s| pid(s.lane)).collect();
-    for p in &pids {
-        let name = if *p == 0 {
-            "liquamod".to_string()
+    let processes = pids.into_iter().map(|p| {
+        let label = if p == 0 {
+            "liquamod".into()
         } else {
             format!("lane {}", p - 1)
         };
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {p}, \"tid\": 0, \
-                 \"args\": {{\"name\": \"{name}\"}}}}"
-            ),
-            &mut out,
-        );
-    }
+        meta("process_name", p, 0, label)
+    });
     let tids: BTreeSet<(u32, u32)> = report
         .spans
         .iter()
         .map(|s| (pid(s.lane), s.worker))
         .collect();
-    for (p, t) in &tids {
-        let name = if *t == 0 {
-            "caller".to_string()
+    let threads = tids.into_iter().map(|(p, t)| {
+        let label = if t == 0 {
+            "caller".into()
         } else {
             format!("worker {t}")
         };
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {p}, \"tid\": {t}, \
-                 \"args\": {{\"name\": \"{name}\"}}}}"
-            ),
-            &mut out,
-        );
-    }
-
+        meta("thread_name", p, t, label)
+    });
     // Spans, in the deterministic merged order.
-    for (seq, s) in report.spans.iter().enumerate() {
-        let parent = s
-            .parent
-            .map_or_else(|| "null".to_string(), |p| p.to_string());
-        push(
-            format!(
-                "{{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"liquamod\", \"pid\": {}, \
-                 \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \
-                 \"args\": {{\"seq\": {seq}, \"depth\": {}, \"parent\": {parent}}}}}",
-                s.name,
-                pid(s.lane),
-                s.worker,
-                s.start_ns as f64 / 1e3,
-                s.dur_ns as f64 / 1e3,
-                s.depth,
+    let spans = report.spans.iter().enumerate().map(|(seq, s)| {
+        Json::object([
+            ("ph", "X".into()),
+            ("name", s.name.into()),
+            ("cat", "liquamod".into()),
+            ("pid", pid(s.lane).into()),
+            ("tid", s.worker.into()),
+            ("ts", Json::fixed(s.start_ns as f64 / 1e3, 3)),
+            ("dur", Json::fixed(s.dur_ns as f64 / 1e3, 3)),
+            (
+                "args",
+                Json::object([
+                    ("seq", seq.into()),
+                    ("depth", s.depth.into()),
+                    ("parent", s.parent.into()),
+                ]),
             ),
-            &mut out,
-        );
-    }
-    out.push_str("\n]}\n");
-    out
+        ])
+    });
+    let events: Vec<String> = processes
+        .chain(threads)
+        .chain(spans)
+        .map(|event| format!("  {event}"))
+        .collect();
+    format!("{{\"traceEvents\": [\n{}\n]}}\n", events.join(",\n"))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! [`verify_streaming_identity`] can demand the streamed trajectory equal
 //! the one-shot [`ModulationController::run`] **bitwise**, and
 //! [`verify_snapshot_restore`] can demand a session serialized mid-stream
-//! ([`SessionSnapshot::to_golden_json`], golden-fixture numeric format)
+//! ([`SessionSnapshot::to_golden_json`], a strict [`crate::json`] document)
 //! continue after a restart as if never interrupted. [`run_soak`] drives a
 //! pool through the full service lifecycle — staggered arrivals into an
 //! under-provisioned budget, incremental submission, snapshot/restore

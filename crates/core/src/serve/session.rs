@@ -6,10 +6,8 @@
 
 use std::collections::VecDeque;
 
-use liquamod_grid_sim::snapshot as snap;
-use liquamod_grid_sim::GridSimError;
-
 use crate::fleet::StackSurrogate;
+use crate::json::Json;
 use crate::mpsoc::{ArchSpec, MpsocTrace};
 use crate::serve::metrics::SessionMetrics;
 use crate::transient::ResumeState;
@@ -33,9 +31,9 @@ fn arch_from_code(code: f64) -> Result<ArchSpec> {
     } else if code == 2.0 {
         Ok(ArchSpec::Arch3)
     } else {
-        Err(CoreError::GridSim(GridSimError::InvalidSnapshot {
+        Err(CoreError::InvalidDocument {
             what: format!("unknown architecture code {code}"),
-        }))
+        })
     }
 }
 
@@ -210,10 +208,10 @@ impl ServeSession {
 
 /// Everything needed to restore an in-flight session after a process
 /// restart: identity, schedule position, and the controller's
-/// [`ResumeState`]. Serializes in the golden-fixture numeric format
-/// ([`liquamod_grid_sim::snapshot`]), so a snapshot written before a
-/// restart parses back **bitwise** and the restored session continues the
-/// exact trajectory of the uninterrupted one.
+/// [`ResumeState`]. Serializes as a [`crate::json`] document of
+/// shortest-round-trip numbers, so a snapshot written before a restart
+/// parses back **bitwise** and the restored session continues the exact
+/// trajectory of the uninterrupted one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The session's pool identifier.
@@ -234,87 +232,50 @@ pub struct SessionSnapshot {
 }
 
 impl SessionSnapshot {
-    /// Serializes the snapshot as one flat golden-format document. The
-    /// session header uses keys disjoint from [`ResumeState::to_golden_json`]
-    /// (whose body is spliced in verbatim behind `resume_present`), so both
-    /// layers parse from the same document.
+    /// Serializes the snapshot as one flat document. The session header
+    /// uses keys disjoint from [`ResumeState::to_golden_json`]'s, whose
+    /// members follow `resume_present` in the same object, so both layers
+    /// read from the same document.
     #[must_use]
     pub fn to_golden_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"serve_schema_version\": 2,\n");
-        snap::push_scalar(&mut out, "session_id", self.session_id as f64, false);
-        snap::push_scalar(&mut out, "arch_code", arch_code(self.arch), false);
-        snap::push_scalar(&mut out, "segments_done", self.segments_done as f64, false);
-        snap::push_scalar(&mut out, "clock_seconds", self.clock_seconds, false);
-        snap::push_scalar(
-            &mut out,
-            "predictor_slope_k_per_scale",
-            self.predictor.slope_k_per_scale,
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "predictor_share",
-            self.predictor.last_share,
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "predictor_gradient_k",
-            self.predictor.last_gradient_k,
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "predictor_observed",
-            if self.predictor.observed { 1.0 } else { 0.0 },
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "last_power_present",
-            if self.last_power_w.is_some() {
-                1.0
-            } else {
-                0.0
-            },
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "last_power_w",
-            self.last_power_w.unwrap_or(0.0),
-            false,
-        );
-        match &self.resume {
-            None => {
-                snap::push_scalar(&mut out, "resume_present", 0.0, true);
-            }
-            Some(resume) => {
-                snap::push_scalar(&mut out, "resume_present", 1.0, false);
-                let body = resume.to_golden_json();
-                let body = body
-                    .strip_prefix("{\n")
-                    .and_then(|b| b.strip_suffix("}\n"))
-                    .expect("ResumeState::to_golden_json emits a braced document");
-                out.push_str(body);
-            }
+        let predictor = &self.predictor;
+        let power = self.last_power_w;
+        let mut members = vec![
+            ("serve_schema_version", 2usize.into()),
+            ("session_id", (self.session_id as f64).into()),
+            ("arch_code", arch_code(self.arch).into()),
+            ("segments_done", (self.segments_done as f64).into()),
+            ("clock_seconds", self.clock_seconds.into()),
+            (
+                "predictor_slope_k_per_scale",
+                predictor.slope_k_per_scale.into(),
+            ),
+            ("predictor_share", predictor.last_share.into()),
+            ("predictor_gradient_k", predictor.last_gradient_k.into()),
+            ("predictor_observed", Json::flag(predictor.observed)),
+            ("last_power_present", Json::flag(power.is_some())),
+            ("last_power_w", power.unwrap_or(0.0).into()),
+            ("resume_present", Json::flag(self.resume.is_some())),
+        ];
+        if let Some(resume) = &self.resume {
+            members.extend(resume.members());
         }
-        out.push_str("}\n");
-        out
+        Json::object(members).to_document()
     }
 
     /// Parses a document written by [`SessionSnapshot::to_golden_json`],
-    /// bitwise.
+    /// bitwise: the document is parsed once, and the session header and
+    /// the resume state both read from that one value.
     ///
     /// # Errors
     ///
-    /// [`CoreError::GridSim`] with [`GridSimError::InvalidSnapshot`] on a
-    /// missing key, an unknown schema version or architecture code, or a
-    /// malformed number.
+    /// [`CoreError::InvalidDocument`] when the document does not parse
+    /// strictly, or on a missing key, an unknown schema version or
+    /// architecture code, or a malformed number.
     pub fn from_golden_json(json: &str) -> Result<Self> {
-        let invalid = |what: String| CoreError::GridSim(GridSimError::InvalidSnapshot { what });
-        let version = snap::parse_scalar(json, "serve_schema_version")?;
+        let invalid = |what: String| CoreError::InvalidDocument { what };
+        let doc = Json::parse(json)?;
+        let version = doc.number("serve_schema_version")?;
         if version != 1.0 && version != 2.0 {
             return Err(invalid(format!(
                 "unsupported serve snapshot schema version {version}"
@@ -323,59 +284,34 @@ impl SessionSnapshot {
         // Pre-predictive (v1) documents restore with an uninformative
         // predictor — the state they were written without.
         let (predictor, last_power_w) = if version == 2.0 {
-            let observed = snap::parse_scalar(json, "predictor_observed")?;
-            if observed != 0.0 && observed != 1.0 {
-                return Err(invalid(format!(
-                    "predictor_observed must be 0 or 1, got {observed}"
-                )));
-            }
-            let power_present = snap::parse_scalar(json, "last_power_present")?;
-            if power_present != 0.0 && power_present != 1.0 {
-                return Err(invalid(format!(
-                    "last_power_present must be 0 or 1, got {power_present}"
-                )));
-            }
+            let observed = doc.is_set("predictor_observed")?;
+            let power_present = doc.is_set("last_power_present")?;
             (
                 StackSurrogate {
-                    slope_k_per_scale: snap::parse_scalar(json, "predictor_slope_k_per_scale")?,
-                    last_share: snap::parse_scalar(json, "predictor_share")?,
-                    last_gradient_k: snap::parse_scalar(json, "predictor_gradient_k")?,
-                    observed: observed == 1.0,
+                    slope_k_per_scale: doc.number("predictor_slope_k_per_scale")?,
+                    last_share: doc.number("predictor_share")?,
+                    last_gradient_k: doc.number("predictor_gradient_k")?,
+                    observed,
                 },
-                (power_present == 1.0)
-                    .then(|| snap::parse_scalar(json, "last_power_w"))
+                power_present
+                    .then(|| doc.number("last_power_w"))
                     .transpose()?,
             )
         } else {
             (StackSurrogate::default(), None)
         };
-        let id = snap::parse_scalar(json, "session_id")?;
-        if !(id.is_finite() && id >= 0.0 && id.fract() == 0.0) {
-            return Err(invalid(format!(
-                "session_id {id} is not a non-negative integer"
-            )));
-        }
-        let segments = snap::parse_scalar(json, "segments_done")?;
-        if !(segments.is_finite() && segments >= 0.0 && segments.fract() == 0.0) {
-            return Err(invalid(format!(
-                "segments_done {segments} is not a non-negative integer"
-            )));
-        }
-        let present = snap::parse_scalar(json, "resume_present")?;
-        let resume = if present == 0.0 {
-            None
-        } else if present == 1.0 {
-            Some(ResumeState::from_golden_json(json)?)
+        let session_id = doc.usize("session_id")? as u64;
+        let segments_done = doc.usize("segments_done")?;
+        let resume = if doc.is_set("resume_present")? {
+            Some(ResumeState::from_document(&doc)?)
         } else {
-            return Err(invalid(format!(
-                "resume_present must be 0 or 1, got {present}"
-            )));
+            None
         };
         Ok(Self {
-            session_id: id as u64,
-            arch: arch_from_code(snap::parse_scalar(json, "arch_code")?)?,
-            segments_done: segments as usize,
-            clock_seconds: snap::parse_scalar(json, "clock_seconds")?,
+            session_id,
+            arch: arch_from_code(doc.number("arch_code")?)?,
+            segments_done,
+            clock_seconds: doc.number("clock_seconds")?,
             predictor,
             last_power_w,
             resume,
@@ -497,7 +433,7 @@ mod tests {
             assert!(
                 matches!(
                     SessionSnapshot::from_golden_json(doc),
-                    Err(CoreError::GridSim(GridSimError::InvalidSnapshot { .. }))
+                    Err(CoreError::InvalidDocument { .. })
                 ),
                 "doc should be rejected: {doc}"
             );

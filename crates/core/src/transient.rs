@@ -41,6 +41,7 @@
 
 use crate::design::{optimize_resumed, DesignWarmStart, OptimizationConfig};
 use crate::faults::{DegradedEvent, DegradedKind, SegmentFaults, ValveMode};
+use crate::json::Json;
 use crate::obs;
 use crate::scenario::{strip_length, strip_model};
 use crate::sweep::{run_variant_sweep, ExecutionMode};
@@ -92,10 +93,9 @@ pub struct ResumeState {
 }
 
 impl ResumeState {
-    /// Serializes the resume state in the workspace's golden-fixture
-    /// numeric format ([`liquamod_grid_sim::snapshot`]): flat arrays of
-    /// shortest-round-trip numbers, so a snapshot written before a process
-    /// restart parses back **bitwise** and
+    /// Serializes the resume state as a [`crate::json`] document: flat
+    /// arrays of shortest-round-trip numbers, so a snapshot written before
+    /// a process restart parses back **bitwise** and
     /// [`ModulationController::run_segment`] continues the trajectory as if
     /// the restart never happened. The width profiles flatten to four
     /// parallel arrays (profiles per cavity, a kind code per profile —
@@ -104,161 +104,120 @@ impl ResumeState {
     /// along behind a presence flag.
     #[must_use]
     pub fn to_golden_json(&self) -> String {
-        use liquamod_grid_sim::snapshot as snap;
-        let profiles: Vec<&WidthProfile> = self.widths.iter().flatten().collect();
-        let profile_values = |p: &WidthProfile| -> Vec<f64> {
-            match p {
-                WidthProfile::Uniform(w) => vec![w.si()],
+        Json::object(self.members()).to_document()
+    }
+
+    /// The document's members, in order — also appended verbatim to a
+    /// [`crate::serve::SessionSnapshot`] document.
+    pub(crate) fn members(&self) -> Vec<(&'static str, Json)> {
+        let (kinds, values): (Vec<f64>, Vec<Vec<f64>>) = self
+            .widths
+            .iter()
+            .flatten()
+            .map(|p| match p {
+                WidthProfile::Uniform(w) => (0.0, vec![w.si()]),
                 WidthProfile::PiecewiseConstant { widths } => {
-                    widths.iter().map(|w| w.si()).collect()
+                    (1.0, widths.iter().map(|w| w.si()).collect())
                 }
-                WidthProfile::PiecewiseLinear { knots } => knots.iter().map(|w| w.si()).collect(),
-            }
+                WidthProfile::PiecewiseLinear { knots } => {
+                    (2.0, knots.iter().map(|w| w.si()).collect())
+                }
+            })
+            .unzip();
+        let cavity_counts = self.widths.iter().map(|c| c.len() as f64);
+        let value_counts = values.iter().map(|v| v.len() as f64);
+        let (x, inequality, equality, penalty) = match &self.warm {
+            Some(w) => (
+                &w.x[..],
+                &w.inequality_multipliers[..],
+                &w.equality_multipliers[..],
+                w.penalty,
+            ),
+            None => (&[][..], &[][..], &[][..], 0.0),
         };
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        snap::push_scalar(&mut out, "last_gradient_k", self.last_gradient_k, false);
-        snap::push_array(&mut out, "state", self.state.iter().copied(), false);
-        snap::push_array(
-            &mut out,
-            "width_cavity_counts",
-            self.widths.iter().map(|cavity| cavity.len() as f64),
-            false,
-        );
-        snap::push_array(
-            &mut out,
-            "width_kinds",
-            profiles.iter().map(|p| match p {
-                WidthProfile::Uniform(_) => 0.0,
-                WidthProfile::PiecewiseConstant { .. } => 1.0,
-                WidthProfile::PiecewiseLinear { .. } => 2.0,
-            }),
-            false,
-        );
-        snap::push_array(
-            &mut out,
-            "width_value_counts",
-            profiles.iter().map(|p| profile_values(p).len() as f64),
-            false,
-        );
-        snap::push_array(
-            &mut out,
-            "width_values_m",
-            profiles.iter().flat_map(|p| profile_values(p)),
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "warm_present",
-            if self.warm.is_some() { 1.0 } else { 0.0 },
-            false,
-        );
-        let warm = self.warm.as_ref();
-        let empty: &[f64] = &[];
-        snap::push_array(
-            &mut out,
-            "warm_x",
-            warm.map_or(empty, |w| &w.x).iter().copied(),
-            false,
-        );
-        snap::push_array(
-            &mut out,
-            "warm_inequality_multipliers",
-            warm.map_or(empty, |w| &w.inequality_multipliers)
-                .iter()
-                .copied(),
-            false,
-        );
-        snap::push_array(
-            &mut out,
-            "warm_equality_multipliers",
-            warm.map_or(empty, |w| &w.equality_multipliers)
-                .iter()
-                .copied(),
-            false,
-        );
-        snap::push_scalar(
-            &mut out,
-            "warm_penalty",
-            self.warm.as_ref().map_or(0.0, |w| w.penalty),
-            true,
-        );
-        out.push_str("}\n");
-        out
+        vec![
+            ("schema_version", 1usize.into()),
+            ("last_gradient_k", self.last_gradient_k.into()),
+            ("state", Json::numbers(&self.state)),
+            ("width_cavity_counts", Json::numbers(cavity_counts)),
+            ("width_kinds", Json::numbers(kinds)),
+            ("width_value_counts", Json::numbers(value_counts)),
+            ("width_values_m", Json::numbers(values.concat())),
+            ("warm_present", Json::flag(self.warm.is_some())),
+            ("warm_x", Json::numbers(x)),
+            ("warm_inequality_multipliers", Json::numbers(inequality)),
+            ("warm_equality_multipliers", Json::numbers(equality)),
+            ("warm_penalty", penalty.into()),
+        ]
     }
 
     /// Parses a [`ResumeState::to_golden_json`] document back, bitwise.
     ///
     /// # Errors
     ///
-    /// [`CoreError::GridSim`] (an
-    /// [`InvalidSnapshot`](liquamod_grid_sim::GridSimError::InvalidSnapshot))
-    /// when the document is malformed: unknown schema version, missing
-    /// keys, inconsistent profile counts, or a profile whose value count is
+    /// [`CoreError::InvalidDocument`] when the document does not parse
+    /// strictly or is malformed: unknown schema version, missing keys,
+    /// inconsistent profile counts, or a profile whose value count is
     /// impossible for its kind (a uniform profile needs exactly one value,
     /// a piecewise-linear one at least two knots).
     pub fn from_golden_json(json: &str) -> Result<Self> {
-        use liquamod_grid_sim::snapshot as snap;
-        let bad = |what: String| {
-            CoreError::GridSim(liquamod_grid_sim::GridSimError::InvalidSnapshot { what })
-        };
-        let version = snap::parse_scalar(json, "schema_version")?;
+        Self::from_document(&Json::parse(json)?)
+    }
+
+    /// Reads the resume state from the top-level members of a parsed
+    /// document (its own, or a session snapshot's).
+    pub(crate) fn from_document(doc: &Json) -> Result<Self> {
+        let bad = |what: String| CoreError::InvalidDocument { what };
+        let version = doc.number("schema_version")?;
         if version != 1.0 {
             return Err(bad(format!("unknown resume-state schema {version}")));
         }
-        let last_gradient_k = snap::parse_scalar(json, "last_gradient_k")?;
-        let state = snap::parse_array(json, "state")?;
-        let cavity_counts = snap::parse_usize_array(json, "width_cavity_counts")?;
-        let kinds = snap::parse_usize_array(json, "width_kinds")?;
-        let value_counts = snap::parse_usize_array(json, "width_value_counts")?;
-        let values = snap::parse_array(json, "width_values_m")?;
-        let n_profiles: usize = cavity_counts.iter().sum();
-        if kinds.len() != n_profiles || value_counts.len() != n_profiles {
+        let last_gradient_k = doc.number("last_gradient_k")?;
+        let state = doc.number_array("state")?;
+        let cavity_counts = doc.usize_array("width_cavity_counts")?;
+        let kinds = doc.usize_array("width_kinds")?;
+        let value_counts = doc.usize_array("width_value_counts")?;
+        let values = doc.number_array("width_values_m")?;
+        // Checked sums: the counts come from outside the program.
+        let total = |counts: &[usize]| counts.iter().try_fold(0usize, |a, &n| a.checked_add(n));
+        let n_profiles = total(&cavity_counts);
+        if n_profiles != Some(kinds.len()) || n_profiles != Some(value_counts.len()) {
             return Err(bad(format!(
-                "cavity counts promise {n_profiles} profiles, got {} kinds and {} value counts",
+                "cavity counts promise {n_profiles:?} profiles, got {} kinds and {} value counts",
                 kinds.len(),
                 value_counts.len()
             )));
         }
-        if values.len() != value_counts.iter().sum::<usize>() {
+        let n_values = total(&value_counts);
+        if n_values != Some(values.len()) {
             return Err(bad(format!(
-                "value counts promise {} width values, got {}",
-                value_counts.iter().sum::<usize>(),
+                "value counts promise {n_values:?} width values, got {}",
                 values.len()
             )));
         }
-        let mut widths: CavityProfiles = Vec::with_capacity(cavity_counts.len());
-        let mut profile = 0usize;
-        let mut at = 0usize;
-        for count in cavity_counts {
-            let mut cavity = Vec::with_capacity(count);
-            for _ in 0..count {
-                let n = value_counts[profile];
-                let vals: Vec<Length> = values[at..at + n]
-                    .iter()
-                    .map(|&v| Length::from_meters(v))
-                    .collect();
-                cavity.push(match (kinds[profile], n) {
-                    (0, 1) => WidthProfile::Uniform(vals[0]),
-                    (1, 1..) => WidthProfile::PiecewiseConstant { widths: vals },
-                    (2, 2..) => WidthProfile::PiecewiseLinear { knots: vals },
-                    (kind, n) => {
-                        return Err(bad(format!(
-                            "profile {profile}: kind {kind} with {n} value(s) is impossible"
-                        )))
-                    }
-                });
-                at += n;
-                profile += 1;
+        let mut values = values.into_iter().map(Length::from_meters);
+        let kinds_and_counts = kinds.into_iter().zip(value_counts).enumerate();
+        let mut profiles = kinds_and_counts.map(|(profile, (kind, n))| {
+            let vals: Vec<Length> = values.by_ref().take(n).collect();
+            match (kind, n) {
+                (0, 1) => Ok(WidthProfile::Uniform(vals[0])),
+                (1, 1..) => Ok(WidthProfile::PiecewiseConstant { widths: vals }),
+                (2, 2..) => Ok(WidthProfile::PiecewiseLinear { knots: vals }),
+                (kind, n) => Err(bad(format!(
+                    "profile {profile}: kind {kind} with {n} value(s) is impossible"
+                ))),
             }
-            widths.push(cavity);
-        }
-        let warm = if snap::parse_scalar(json, "warm_present")? == 1.0 {
+        });
+        let widths = cavity_counts
+            .into_iter()
+            .map(|count| profiles.by_ref().take(count).collect())
+            .collect::<Result<CavityProfiles>>()?;
+        let warm = if doc.is_set("warm_present")? {
             Some(DesignWarmStart {
-                x: snap::parse_array(json, "warm_x")?,
-                inequality_multipliers: snap::parse_array(json, "warm_inequality_multipliers")?,
-                equality_multipliers: snap::parse_array(json, "warm_equality_multipliers")?,
-                penalty: snap::parse_scalar(json, "warm_penalty")?,
+                x: doc.number_array("warm_x")?,
+                inequality_multipliers: doc.number_array("warm_inequality_multipliers")?,
+                equality_multipliers: doc.number_array("warm_equality_multipliers")?,
+                penalty: doc.number("warm_penalty")?,
             })
         } else {
             None
@@ -616,69 +575,48 @@ impl TransientOutcome {
 
     /// Canonical JSON serialization for golden-regression fixtures: flat
     /// arrays of full-precision numbers (Rust's shortest round-trip float
-    /// formatting), so snapshots diff numerically at 1e-9 without a JSON
-    /// dependency. The leading `schema_version` is asserted by the golden
-    /// tests alongside the numeric channels. See `tests/golden_transient.rs`
+    /// formatting, through [`crate::json`]), so snapshots diff numerically
+    /// at 1e-9. The leading `schema_version` is asserted by the golden
+    /// tests alongside every other member. See `tests/golden_transient.rs`
     /// for the comparer and the `LIQUAMOD_REGEN_GOLDEN=1` regeneration knob.
     #[must_use]
     pub fn golden_json(&self, scenario: &str) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!("  \"dt_seconds\": {:e},\n", self.dt_seconds));
-        out.push_str(&format!(
-            "  \"times\": {},\n",
-            golden_num_array(self.snapshots.iter().map(|s| s.time_seconds))
-        ));
-        out.push_str(&format!(
-            "  \"peak_k\": {},\n",
-            golden_num_array(self.snapshots.iter().map(|s| s.peak_k))
-        ));
-        out.push_str(&format!(
-            "  \"min_k\": {},\n",
-            golden_num_array(self.snapshots.iter().map(|s| s.min_k))
-        ));
-        out.push_str(&format!(
-            "  \"gradient_k\": {},\n",
-            golden_num_array(self.snapshots.iter().map(|s| s.gradient_k))
-        ));
-        out.push_str(&format!(
-            "  \"epoch_steps_at\": {},\n",
-            golden_num_array(self.epochs.iter().map(|e| e.step as f64))
-        ));
-        out.push_str(&format!(
-            "  \"epoch_adopted\": {},\n",
-            golden_num_array(
-                self.epochs
-                    .iter()
-                    .map(|e| if e.adopted { 1.0 } else { 0.0 })
-            )
-        ));
-        out.push_str(&format!(
-            "  \"epoch_candidate_gradient_k\": {},\n",
-            golden_num_array(self.epochs.iter().map(|e| e.candidate_gradient_k))
-        ));
-        out.push_str(&format!(
-            "  \"epoch_incumbent_gradient_k\": {},\n",
-            golden_num_array(self.epochs.iter().map(|e| e.incumbent_gradient_k))
-        ));
-        let widths: Vec<String> = self
-            .epochs
-            .iter()
-            .map(|e| golden_num_array(e.widths_um.iter().flatten().copied()))
-            .collect();
-        out.push_str(&format!("  \"epoch_widths_um\": [{}]\n", widths.join(", ")));
-        out.push_str("}\n");
-        out
+        let samples =
+            |f: fn(&TransientSnapshot) -> f64| Json::numbers(self.snapshots.iter().map(f));
+        let epochs = |f: fn(&EpochRecord) -> f64| Json::numbers(self.epochs.iter().map(f));
+        Json::object([
+            ("schema_version", 1usize.into()),
+            ("scenario", scenario.into()),
+            ("dt_seconds", self.dt_seconds.into()),
+            ("times", samples(|s| s.time_seconds)),
+            ("peak_k", samples(|s| s.peak_k)),
+            ("min_k", samples(|s| s.min_k)),
+            ("gradient_k", samples(|s| s.gradient_k)),
+            ("epoch_steps_at", epochs(|e| e.step as f64)),
+            (
+                "epoch_adopted",
+                epochs(|e| if e.adopted { 1.0 } else { 0.0 }),
+            ),
+            (
+                "epoch_candidate_gradient_k",
+                epochs(|e| e.candidate_gradient_k),
+            ),
+            (
+                "epoch_incumbent_gradient_k",
+                epochs(|e| e.incumbent_gradient_k),
+            ),
+            (
+                "epoch_widths_um",
+                Json::Array(
+                    self.epochs
+                        .iter()
+                        .map(|e| Json::numbers(e.widths_um.iter().flatten()))
+                        .collect(),
+                ),
+            ),
+        ])
+        .to_document()
     }
-}
-
-/// One flat array of the golden-fixture format: every value in Rust's
-/// shortest round-trip exponent notation, so fixtures diff numerically at
-/// 1e-9 and parse back bitwise.
-pub(crate) fn golden_num_array(values: impl Iterator<Item = f64>) -> String {
-    let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-    format!("[{}]", items.join(", "))
 }
 
 /// The strip stack family: the Fig. 2 test structure (one channel between

@@ -29,12 +29,6 @@ pub enum GridSimError {
         /// Human-readable description of the problem.
         what: String,
     },
-    /// A serialized state snapshot does not parse back (missing key,
-    /// malformed array, non-numeric element) — see [`crate::snapshot`].
-    InvalidSnapshot {
-        /// Human-readable description of the problem.
-        what: String,
-    },
 }
 
 impl fmt::Display for GridSimError {
@@ -51,7 +45,6 @@ impl fmt::Display for GridSimError {
                 "linear solver did not converge after {iterations} iterations (residual {residual:.3e})"
             ),
             GridSimError::InvalidTransient { what } => write!(f, "invalid transient options: {what}"),
-            GridSimError::InvalidSnapshot { what } => write!(f, "invalid state snapshot: {what}"),
         }
     }
 }

@@ -60,7 +60,6 @@ mod expstep;
 mod field;
 mod material;
 mod power;
-pub mod snapshot;
 pub mod solver;
 pub mod sparse;
 mod stack;

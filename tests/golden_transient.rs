@@ -1,7 +1,9 @@
 //! Golden-regression fixtures for the transient modulation loop: one
 //! Test-A and one Test-B run are pinned as JSON snapshots (sampled
-//! temperatures plus the widths chosen at every epoch) and diffed within
-//! 1e-9, so modulation numerics cannot drift silently.
+//! temperatures plus the widths chosen at every epoch), next to an MPSoC
+//! run and two fleet runs. Every fixture is compared member by member by
+//! one tree comparer (numbers within 1e-9), so modulation numerics cannot
+//! drift silently.
 //!
 //! The fixtures live in `tests/golden/`; regenerate them after an
 //! *intentional* numerical change with:
@@ -24,15 +26,17 @@ use liquamod::faults::{self, run_faulted_fleet, DegradedKind, FaultEvent, FaultS
 use liquamod::fleet::{run_fleet, BudgetPolicy, FleetOptions, PumpBudget, StackSpec};
 use liquamod::floorplan::testcase::TEST_B_DEFAULT_SEED;
 use liquamod::floorplan::{arch, trace, PowerLevel};
+use liquamod::json::Json;
 use liquamod::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTraceSpec};
 use liquamod::transient::{
     EpochPolicy, ModulationController, ModulationPolicy, StripTrace, TransientConfig,
     TransientOutcome,
 };
 use liquamod::{ExecutionMode, OptimizationConfig};
+use liquamod_repro::golden;
 use std::path::PathBuf;
 
-/// Absolute tolerance of the golden diff (the ISSUE's contract).
+/// Absolute tolerance of the golden diff for numbers.
 const TOLERANCE: f64 = 1e-9;
 
 /// The pinned scenario configuration. Deliberately spelled out rather than
@@ -59,100 +63,45 @@ fn run_scenario(trace: &StripTrace) -> TransientOutcome {
         .unwrap()
 }
 
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-// ---- a minimal parser for the fixtures' flat JSON schema ----------------
-
-/// Returns the balanced `[…]` source span following `"key":`.
-fn raw_span<'a>(json: &'a str, key: &str) -> &'a str {
-    let tag = format!("\"{key}\":");
-    let start = json
-        .find(&tag)
-        .unwrap_or_else(|| panic!("fixture is missing key {key}"));
-    let rest = &json[start + tag.len()..];
-    let open = rest.find('[').expect("key is not an array");
-    let mut depth = 0usize;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return &rest[open..=open + i];
-                }
-            }
-            _ => {}
-        }
-    }
-    panic!("unbalanced array for key {key}");
-}
-
-/// Parses every number in a span (commas/brackets/whitespace separate).
-fn numbers(span: &str) -> Vec<f64> {
-    span.split(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .filter(|s| !s.is_empty() && s.chars().any(|c| c.is_ascii_digit()))
-        .map(|s| s.parse().unwrap_or_else(|_| panic!("bad number {s:?}")))
-        .collect()
-}
-
-/// A flat numeric array under `key`.
-fn num_array(json: &str, key: &str) -> Vec<f64> {
-    numbers(raw_span(json, key))
-}
-
-/// A scalar numeric field under `key`.
-fn num_scalar(json: &str, key: &str) -> f64 {
-    let tag = format!("\"{key}\":");
-    let start = json
-        .find(&tag)
-        .unwrap_or_else(|| panic!("fixture is missing key {key}"));
-    let rest = &json[start + tag.len()..];
-    let end = rest.find([',', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().expect("bad scalar")
-}
-
-fn assert_close(label: &str, expected: &[f64], actual: &[f64]) {
-    assert_eq!(
-        expected.len(),
-        actual.len(),
-        "{label}: fixture has {} values, run produced {}",
-        expected.len(),
-        actual.len()
-    );
-    for (i, (e, a)) in expected.iter().zip(actual).enumerate() {
-        assert!(
-            (e - a).abs() <= TOLERANCE,
-            "{label}[{i}]: fixture {e} vs run {a} (|Δ| = {})",
-            (e - a).abs()
-        );
-    }
-}
-
-/// Compares every numeric channel of the golden schema.
+/// The one golden comparer: both documents parse strictly with
+/// `liquamod::json`, declare the schema version this comparer understands,
+/// and walk as two trees with the same member names in the same order, the
+/// same array nesting and lengths, equal strings, bools and integers, and
+/// numbers within [`TOLERANCE`].
 fn assert_matches_fixture(expected: &str, actual: &str) {
-    // The schema version is part of the fixture contract: both sides must
-    // declare the version this comparer understands.
-    assert_eq!(num_scalar(expected, "schema_version"), 1.0);
-    assert_eq!(num_scalar(actual, "schema_version"), 1.0);
-    assert!(
-        (num_scalar(expected, "dt_seconds") - num_scalar(actual, "dt_seconds")).abs() <= TOLERANCE
-    );
-    for key in [
-        "times",
-        "peak_k",
-        "min_k",
-        "gradient_k",
-        "epoch_steps_at",
-        "epoch_adopted",
-        "epoch_candidate_gradient_k",
-        "epoch_incumbent_gradient_k",
-        "epoch_widths_um",
-    ] {
-        assert_close(key, &num_array(expected, key), &num_array(actual, key));
+    let expected = Json::parse(expected).expect("the fixture parses strictly");
+    let actual = Json::parse(actual).expect("the run's document parses strictly");
+    assert_eq!(expected.get("schema_version"), Some(&Json::Int(1)));
+    assert_same_tree("$", &expected, &actual);
+}
+
+fn assert_same_tree(at: &str, expected: &Json, actual: &Json) {
+    match (expected, actual) {
+        (Json::Object(e), Json::Object(a)) => {
+            let names = |m: &[(String, Json)]| m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+            assert_eq!(names(e), names(a), "{at}: members differ");
+            for ((key, e), (_, a)) in e.iter().zip(a) {
+                assert_same_tree(&format!("{at}.{key}"), e, a);
+            }
+        }
+        (Json::Array(e), Json::Array(a)) => {
+            assert_eq!(
+                e.len(),
+                a.len(),
+                "{at}: fixture has {} elements, run produced {}",
+                e.len(),
+                a.len()
+            );
+            for (i, (e, a)) in e.iter().zip(a).enumerate() {
+                assert_same_tree(&format!("{at}[{i}]"), e, a);
+            }
+        }
+        (Json::Number(e, _), Json::Number(a, _)) => assert!(
+            (e - a).abs() <= TOLERANCE,
+            "{at}: fixture {e} vs run {a} (|Δ| = {})",
+            (e - a).abs()
+        ),
+        _ => assert_eq!(expected, actual, "{at}"),
     }
 }
 
@@ -168,37 +117,10 @@ fn check_golden(name: &str, trace: &StripTrace) {
 }
 
 fn diff_or_regen(name: &str, outcome: &TransientOutcome) {
-    let actual = outcome.golden_json(name);
-    let path = fixture_path(&format!("{name}.json"));
-    if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
-    assert_matches_fixture(&expected, &actual);
-}
-
-/// Compares every numeric channel of the faulted-fleet golden schema
-/// (allocations, per-stack segment metrics, the degraded-event quadruples
-/// and the headline worst gradient).
-fn assert_matches_faults_fixture(expected: &str, actual: &str) {
-    assert_eq!(num_scalar(expected, "schema_version"), 1.0);
-    assert_eq!(num_scalar(actual, "schema_version"), 1.0);
-    for key in [
-        "allocations",
-        "segment_gradient_k",
-        "segment_temperature_k",
-        "segment_evaluations",
-        "degraded_events",
-    ] {
-        assert_close(key, &num_array(expected, key), &num_array(actual, key));
-    }
-    assert!(
-        (num_scalar(expected, "worst_gradient_k") - num_scalar(actual, "worst_gradient_k")).abs()
-            <= TOLERANCE
+    golden::check(
+        &format!("{name}.json"),
+        &outcome.golden_json(name),
+        assert_matches_fixture,
     );
 }
 
@@ -255,41 +177,11 @@ fn golden_faults_pump_ramp_run() {
         "the 0.4x ramp must clamp the budget: {:?}",
         outcome.degraded
     );
-    let actual = faults::golden_json(&outcome, "faults_pump_ramp", true);
-    let path = fixture_path("faults_pump_ramp.json");
-    if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
-    assert_matches_faults_fixture(&expected, &actual);
-}
-
-/// Compares every numeric channel of the predictive-fleet golden schema
-/// (allocator decisions, per-stack segment metrics, the surrogate
-/// diagnostics and the headline worst gradient).
-fn assert_matches_fleet_fixture(expected: &str, actual: &str) {
-    assert_eq!(num_scalar(expected, "schema_version"), 1.0);
-    assert_eq!(num_scalar(actual, "schema_version"), 1.0);
-    for key in [
-        "allocations",
-        "segment_gradient_k",
-        "segment_temperature_k",
-        "segment_evaluations",
-    ] {
-        assert_close(key, &num_array(expected, key), &num_array(actual, key));
-    }
-    for key in ["forecast_hits", "surrogate_refits", "worst_gradient_k"] {
-        assert!(
-            (num_scalar(expected, key) - num_scalar(actual, key)).abs() <= TOLERANCE,
-            "{key}: {} vs {}",
-            num_scalar(expected, key),
-            num_scalar(actual, key)
-        );
-    }
+    golden::check(
+        "faults_pump_ramp.json",
+        &faults::golden_json(&outcome, "faults_pump_ramp", true),
+        assert_matches_fixture,
+    );
 }
 
 /// The predictive-allocator fixture: a three-stack fleet whose hot spot
@@ -337,17 +229,11 @@ fn golden_fleet_predictive_run() {
         .expect("predictive run carries diagnostics");
     assert!(diag.forecast_hits > 0, "no informative forecasts: {diag:?}");
     assert!(diag.surrogate_refits > 0, "surrogate never refit: {diag:?}");
-    let actual = outcome.golden_json("fleet_predictive");
-    let path = fixture_path("fleet_predictive.json");
-    if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
-    assert_matches_fleet_fixture(&expected, &actual);
+    golden::check(
+        "fleet_predictive.json",
+        &outcome.golden_json("fleet_predictive"),
+        assert_matches_fixture,
+    );
 }
 
 #[test]
@@ -405,36 +291,45 @@ fn golden_mpsoc_arch1_niagara_run() {
     diff_or_regen("mpsoc_arch1_niagara", &outcome);
 }
 
-/// The parser itself is part of the regression surface: make sure it reads
-/// back exactly what `golden_json` writes.
+/// The reader is part of the regression surface: it reads back exactly
+/// what `golden_json` writes, bitwise, and re-renders the same bytes.
 #[test]
 fn golden_serialization_roundtrips() {
     let outcome = run_scenario(&trace::test_a_step(0.024, 1.5));
     let json = outcome.golden_json("roundtrip");
-    let times = num_array(&json, "times");
+    let doc = Json::parse(&json).unwrap();
+    assert_eq!(doc.to_document(), json);
+    let times = doc.number_array("times").unwrap();
     assert_eq!(times.len(), outcome.snapshots.len());
     for (parsed, snap) in times.iter().zip(&outcome.snapshots) {
         assert_eq!(parsed.to_bits(), snap.time_seconds.to_bits());
     }
-    let widths = num_array(&json, "epoch_widths_um");
-    let flat: Vec<f64> = outcome
-        .epochs
-        .iter()
-        .flat_map(|e| e.widths_um.iter().flatten().copied())
-        .collect();
-    assert_eq!(widths.len(), flat.len());
-    for (parsed, w) in widths.iter().zip(&flat) {
-        assert_eq!(parsed.to_bits(), w.to_bits());
+    let Some(Json::Array(epochs)) = doc.get("epoch_widths_um") else {
+        panic!("epoch_widths_um is not an array");
+    };
+    assert_eq!(epochs.len(), outcome.epochs.len());
+    for (row, epoch) in epochs.iter().zip(&outcome.epochs) {
+        let Json::Array(widths) = row else {
+            panic!("an epoch's widths are not an array");
+        };
+        let flat: Vec<f64> = epoch.widths_um.iter().flatten().copied().collect();
+        assert_eq!(widths.len(), flat.len());
+        for (parsed, w) in widths.iter().zip(&flat) {
+            assert_eq!(parsed.as_f64().unwrap().to_bits(), w.to_bits());
+        }
     }
     assert_eq!(
-        num_scalar(&json, "dt_seconds").to_bits(),
+        doc.number("dt_seconds").unwrap().to_bits(),
         outcome.dt_seconds.to_bits()
     );
-    assert_eq!(num_scalar(&json, "schema_version"), 1.0);
+    assert_eq!(doc.get("schema_version"), Some(&Json::Int(1)));
+    assert_eq!(doc.get("scenario"), Some(&Json::from("roundtrip")));
 }
 
-/// Every checked-in BENCH record declares the schema version its consumers
-/// (the CI bench-smoke comparisons) parse.
+/// Every checked-in BENCH record parses strictly and declares, as
+/// top-level members, the schema version its consumers (the CI
+/// bench-smoke comparisons) parse, the core count it was measured on and
+/// the observability counter registry.
 #[test]
 fn bench_records_declare_schema_version() {
     // BENCH_fleet.json is at v6: v2 added `stepper` and the segment-level
@@ -446,51 +341,59 @@ fn bench_records_declare_schema_version() {
     // `worst_gradient_predictive_k`, `predictive_margin` and the surrogate
     // diagnostics CI's predictive-vs-waterfill gate reads; v6 dropped the
     // greedy policy's columns.
-    for (name, version) in [
-        ("BENCH_sweep.json", 2.0),
-        ("BENCH_transient.json", 2.0),
-        ("BENCH_mpsoc.json", 2.0),
-        ("BENCH_fleet.json", 6.0),
-        ("BENCH_faults.json", 2.0),
-        ("BENCH_serve.json", 2.0),
-    ] {
+    let read = |name: &str| {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name);
-        let record = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        Json::parse(&text).unwrap_or_else(|e| panic!("{name} is not strict JSON: {e}"))
+    };
+    for (name, version) in [
+        ("BENCH_sweep.json", 2),
+        ("BENCH_transient.json", 2),
+        ("BENCH_mpsoc.json", 2),
+        ("BENCH_fleet.json", 6),
+        ("BENCH_faults.json", 2),
+        ("BENCH_serve.json", 2),
+    ] {
+        let record = read(name);
         assert_eq!(
-            num_scalar(&record, "schema_version"),
-            version,
+            record.get("schema_version"),
+            Some(&Json::Int(version)),
             "{name} must declare schema_version {version}"
         );
         assert!(
-            record.contains("\"available_cores\""),
+            matches!(record.get("available_cores"), Some(Json::Int(n)) if *n >= 1),
             "{name} must record the core count it was measured on"
         );
         assert!(
-            record.contains("\"counters\""),
+            matches!(record.get("counters"), Some(Json::Object(c)) if !c.is_empty()),
             "{name} must carry the observability counter registry"
         );
     }
-    let fleet =
-        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_fleet.json"))
-            .unwrap();
+    let fleet = read("BENCH_fleet.json");
     assert!(
-        fleet.contains("\"segment_wall_seconds\""),
+        matches!(fleet.get("segment_wall_seconds"), Some(Json::Array(w)) if !w.is_empty()),
         "BENCH_fleet.json v2 must carry the per-wavefront wall breakdown"
     );
     assert!(
-        fleet.contains("\"stepper\""),
+        matches!(fleet.get("stepper"), Some(Json::String(_))),
         "BENCH_fleet.json v2 must name its integrator backend"
     );
-    for key in [
-        "\"worst_gradient_predictive_k\"",
-        "\"predictive_margin\"",
-        "\"predictive_forecast_hits\"",
-        "\"predictive_surrogate_refits\"",
-    ] {
-        assert!(
-            fleet.contains(key),
-            "BENCH_fleet.json v5 must carry the predictive policy column ({key})"
-        );
+    let Some(Json::Array(variants)) = fleet.get("variants") else {
+        panic!("BENCH_fleet.json must carry its variant rows");
+    };
+    assert!(!variants.is_empty());
+    for row in variants {
+        for key in [
+            "worst_gradient_predictive_k",
+            "predictive_margin",
+            "predictive_forecast_hits",
+            "predictive_surrogate_refits",
+        ] {
+            assert!(
+                row.get(key).and_then(Json::as_f64).is_some(),
+                "BENCH_fleet.json v5 must carry the predictive policy column ({key})"
+            );
+        }
     }
 }

@@ -21,6 +21,7 @@ use liquamod::faults::{run_faulted_fleet, FaultEvent, FaultScenario, FaultSchedu
 use liquamod::fleet::{
     run_fleet, run_fleet_sweep, FleetGrid, FleetOptions, FleetSweepOptions, PumpBudget, StackSpec,
 };
+use liquamod::json::Json;
 use liquamod::mpsoc::{
     run_mpsoc_sweep, ArchSpec, MpsocConfig, MpsocGrid, MpsocSweepOptions, MpsocTraceSpec,
 };
@@ -31,8 +32,8 @@ use liquamod::transient::{
     TransientSweepOptions,
 };
 use liquamod::{BudgetPolicy, ExecutionMode, ObsSession, OptimizationConfig};
+use liquamod_repro::golden;
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 
 /// The fleet tests' small-but-real per-stack configuration: 20 channel
 /// columns in 2 groups, 11 cells along the flow, 2-segment profiles.
@@ -302,10 +303,6 @@ fn deterministic_exports_match_across_worker_counts() {
 
 // ---- the Chrome-trace export is a golden fixture ------------------------
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs_fleet_trace.json")
-}
-
 /// A pinned serial single-lane fleet run: its zeroed Chrome trace is
 /// byte-stable, Perfetto-loadable JSON. Spelled out rather than taken from
 /// the fast defaults so changing those cannot silently re-baseline the
@@ -356,21 +353,17 @@ fn fleet_trace_matches_the_golden_fixture() {
     ] {
         assert!(trace.contains(needle), "trace is missing {needle}");
     }
+    let parsed = Json::parse(&trace).expect("the trace is strict JSON");
+    assert!(matches!(parsed.get("traceEvents"), Some(Json::Array(events)) if !events.is_empty()));
     // Wall-clock fields are zeroed in the fixture.
     assert!(trace.contains("\"ts\": 0.000"));
     assert!(!trace.contains("\"tid\": 1"), "workers are zeroed");
 
-    let path = fixture_path();
-    if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &trace).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    assert_eq!(
-        expected, trace,
-        "the zeroed fleet trace drifted from tests/golden/obs_fleet_trace.json; \
-         regenerate with LIQUAMOD_REGEN_GOLDEN=1 if the change is intentional"
-    );
+    golden::check("obs_fleet_trace.json", &trace, |expected, actual| {
+        assert_eq!(
+            expected, actual,
+            "the zeroed fleet trace drifted from tests/golden/obs_fleet_trace.json; \
+             regenerate with LIQUAMOD_REGEN_GOLDEN=1 if the change is intentional"
+        );
+    });
 }

@@ -13,6 +13,7 @@
 //! ```
 
 use liquamod::fleet::StackSurrogate;
+use liquamod::json::Json;
 use liquamod::mpsoc::{ArchSpec, MpsocConfig};
 use liquamod::prelude::PowerLevel;
 use liquamod::serve::{
@@ -22,8 +23,9 @@ use liquamod::serve::{
 use liquamod::thermal_model::WidthProfile;
 use liquamod::transient::{ModulationPolicy, ResumeState};
 use liquamod::units::Length;
-use liquamod::{BudgetPolicy, DegradedKind, DesignWarmStart, OptimizationConfig};
-use std::path::PathBuf;
+use liquamod::{BudgetPolicy, CoreError, DegradedKind, DesignWarmStart, OptimizationConfig};
+use liquamod_repro::golden;
+use proptest::prelude::*;
 
 /// The fleet tests' small-but-real per-stack configuration: 20 channel
 /// columns in 2 groups, 11 cells along the flow, 2-segment profiles.
@@ -151,32 +153,241 @@ fn pinned_snapshot() -> SessionSnapshot {
     }
 }
 
-fn snapshot_fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_snapshot.json")
-}
-
 /// The session snapshot document is pinned byte for byte: the writer must
 /// reproduce the fixture exactly, and the fixture must parse back to the
 /// same bits (negative zero and the subnormal included).
 #[test]
 fn session_snapshot_bytes_match_the_golden_fixture() {
     let snapshot = pinned_snapshot();
-    let doc = snapshot.to_golden_json();
-    let path = snapshot_fixture_path();
-    if std::env::var("LIQUAMOD_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &doc).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
+    golden::check(
+        "serve_snapshot.json",
+        &snapshot.to_golden_json(),
+        |expected, actual| {
+            assert_eq!(
+                actual, expected,
+                "the snapshot writer drifted from its fixture"
+            );
+            let parsed = SessionSnapshot::from_golden_json(expected).unwrap();
+            assert_eq!(parsed, snapshot);
+            assert_eq!(parsed.to_golden_json(), expected);
+            let state = &parsed.resume.as_ref().unwrap().state;
+            assert_eq!(state[1].to_bits(), (-0.0f64).to_bits());
+            assert_eq!(state[2].to_bits(), (f64::MIN_POSITIVE / 4.0).to_bits());
+        },
+    );
+}
+
+// ---- the strict reader under adversarial input -------------------------
+
+/// Two documents the reader fuzz runs over: the pinned snapshot and a
+/// golden fleet fixture.
+fn fuzz_documents() -> [String; 2] {
+    [
+        pinned_snapshot().to_golden_json(),
+        std::fs::read_to_string(golden::path("faults_pump_ramp.json")).unwrap(),
+    ]
+}
+
+/// Whether two values carry the same bits (NaN matches NaN).
+fn same_bits(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Number(x, _), Json::Number(y, _)) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        (Json::Array(x), Json::Array(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(x, y)| same_bits(x, y))
+        }
+        (Json::Object(x), Json::Object(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((k, x), (l, y))| k == l && same_bits(x, y))
+        }
+        _ => a == b,
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    assert_eq!(doc, expected, "the snapshot writer drifted from {path:?}");
-    let parsed = SessionSnapshot::from_golden_json(&expected).unwrap();
-    assert_eq!(parsed, snapshot);
-    assert_eq!(parsed.to_golden_json(), expected);
-    let state = &parsed.resume.as_ref().unwrap().state;
-    assert_eq!(state[1].to_bits(), (-0.0f64).to_bits());
-    assert_eq!(state[2].to_bits(), (f64::MIN_POSITIVE / 4.0).to_bits());
+}
+
+/// The reader's contract on any input, at the document level and through
+/// the session-snapshot schema: a typed `InvalidDocument` error, or a value
+/// that re-renders and re-parses to the same bits.
+fn assert_typed_error_or_round_trip(text: &str) {
+    match Json::parse(text) {
+        Err(CoreError::InvalidDocument { .. }) => {}
+        Err(e) => panic!("untyped error {e:?} for {text:?}"),
+        Ok(value) => {
+            let rendered = value.to_document();
+            let again = Json::parse(&rendered).expect("a rendered document re-parses");
+            assert!(same_bits(&value, &again), "{text:?} did not round-trip");
+        }
+    }
+    match SessionSnapshot::from_golden_json(text) {
+        Err(CoreError::InvalidDocument { .. }) => {}
+        Err(e) => panic!("untyped error {e:?} for {text:?}"),
+        Ok(snapshot) => {
+            let doc = snapshot.to_golden_json();
+            let again =
+                SessionSnapshot::from_golden_json(&doc).expect("a written snapshot re-reads");
+            assert_eq!(again.to_golden_json(), doc, "{text:?} did not round-trip");
+        }
+    }
+}
+
+fn rejected(text: &str) -> bool {
+    matches!(
+        SessionSnapshot::from_golden_json(text),
+        Err(CoreError::InvalidDocument { .. })
+    )
+}
+
+/// The pinned snapshot with `key`'s value text replaced by `value`.
+fn with_value(key: &str, value: &str) -> String {
+    let doc = pinned_snapshot().to_golden_json();
+    let tag = format!("\"{key}\": ");
+    let start = doc.find(&tag).unwrap() + tag.len();
+    let end = start + doc[start..].find([',', '\n']).unwrap();
+    format!("{}{value}{}", &doc[..start], &doc[end..])
+}
+
+#[test]
+fn truncated_documents_are_typed_errors() {
+    for doc in fuzz_documents() {
+        let close = doc.rfind('}').unwrap();
+        for cut in 0..=doc.len() {
+            let prefix = &doc[..cut];
+            assert_typed_error_or_round_trip(prefix);
+            if cut <= close {
+                assert!(Json::parse(prefix).is_err(), "prefix {cut} parsed");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn single_byte_mutations_never_panic(at in 0usize..1_000_000, byte in 0usize..128) {
+        for doc in fuzz_documents() {
+            let mut bytes = doc.into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = byte as u8;
+            let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            assert_typed_error_or_round_trip(&text);
+        }
+    }
+}
+
+#[test]
+fn duplicated_keys_are_typed_errors() {
+    for doc in fuzz_documents() {
+        let Json::Object(members) = Json::parse(&doc).unwrap() else {
+            panic!("not an object");
+        };
+        for (key, _) in &members {
+            let duplicate = doc.replacen("{\n", &format!("{{\n  \"{key}\": \"other\",\n"), 1);
+            assert!(Json::parse(&duplicate).is_err(), "duplicate {key} accepted");
+            assert_typed_error_or_round_trip(&duplicate);
+        }
+    }
+}
+
+#[test]
+fn reordered_members_restore_the_same_snapshot() {
+    let doc = pinned_snapshot().to_golden_json();
+    let Json::Object(mut members) = Json::parse(&doc).unwrap() else {
+        panic!("not an object");
+    };
+    members.reverse();
+    let reordered = Json::Object(members).to_document();
+    assert_ne!(reordered, doc);
+    let back = SessionSnapshot::from_golden_json(&reordered).unwrap();
+    assert_eq!(back.to_golden_json(), doc);
+}
+
+#[test]
+fn non_finite_and_malformed_number_tokens() {
+    let doc = pinned_snapshot().to_golden_json();
+    let Json::Object(members) = Json::parse(&doc).unwrap() else {
+        panic!("not an object");
+    };
+    for (key, value) in &members {
+        if !matches!(value, Json::Number(..)) {
+            continue;
+        }
+        for token in ["NaN", "inf", "-inf"] {
+            assert_typed_error_or_round_trip(&with_value(key, token));
+        }
+        for token in ["+Infinity", "Infinity", "nan", "01", "1.", ".5"] {
+            assert!(rejected(&with_value(key, token)), "{key}: {token} accepted");
+        }
+    }
+    // A non-finite clock is a value, not a malformed token: it survives
+    // the document as written.
+    let nan_clock = SessionSnapshot::from_golden_json(&with_value("clock_seconds", "NaN")).unwrap();
+    assert!(nan_clock.clock_seconds.is_nan());
+}
+
+#[test]
+fn spliced_trailing_and_deeply_nested_documents_are_typed_errors() {
+    for doc in fuzz_documents() {
+        let nested = format!("{{\"nested\": {}}}", doc.trim_end());
+        assert!(rejected(&nested));
+        assert_typed_error_or_round_trip(&nested);
+        for tail in ["x", "{}", ",", "\u{0}", doc.as_str()] {
+            let trailing = format!("{doc}{tail}");
+            assert!(
+                Json::parse(&trailing).is_err(),
+                "trailing {tail:?} accepted"
+            );
+            assert_typed_error_or_round_trip(&trailing);
+        }
+    }
+    let deep = "[".repeat(100_000);
+    assert!(matches!(
+        Json::parse(&deep),
+        Err(CoreError::InvalidDocument { .. })
+    ));
+    assert!(rejected(&format!("{{\"state\": {deep}")));
+}
+
+// The five ways the first-textual-match scanner used to accept a broken
+// snapshot, each a typed error now.
+
+#[test]
+fn snapshot_truncated_inside_its_last_number_is_rejected() {
+    let doc = pinned_snapshot().to_golden_json();
+    let cut = doc.find("1.2345678e1").unwrap() + "1.23".len();
+    assert!(rejected(&doc[..cut]));
+}
+
+#[test]
+fn snapshot_with_a_second_clock_seconds_is_rejected() {
+    let doc = pinned_snapshot().to_golden_json();
+    let twice = doc.replace(
+        "  \"resume_present\"",
+        "  \"clock_seconds\": 9.9e1,\n  \"resume_present\"",
+    );
+    assert!(rejected(&twice));
+}
+
+#[test]
+fn snapshot_with_trailing_garbage_is_rejected() {
+    let doc = pinned_snapshot().to_golden_json();
+    assert!(rejected(&format!("{doc}garbage")));
+}
+
+#[test]
+fn snapshot_body_inside_a_nested_object_is_rejected() {
+    let doc = pinned_snapshot().to_golden_json();
+    assert!(rejected(&format!(
+        "{{\n  \"inner\": {}}}\n",
+        doc.trim_end()
+    )));
+}
+
+#[test]
+fn snapshot_with_plus_infinity_is_rejected() {
+    assert!(rejected(&with_value("clock_seconds", "+Infinity")));
 }
 
 #[test]
@@ -196,6 +407,22 @@ fn resume_state_rejects_malformed_documents() {
         &good.replace("\"width_kinds\": [0e0]", "\"width_kinds\": [7e0]")
     )
     .is_err());
+    // Counts whose sum overflows are a typed error, not a panic or a
+    // wrapped total that happens to match.
+    let huge = format!("{:e}", 2f64.powi(63));
+    let overflowing = good
+        .replace(
+            "\"width_cavity_counts\": [1e0]",
+            &format!("\"width_cavity_counts\": [{huge}, {huge}, 2e0]"),
+        )
+        .replace(
+            "\"width_value_counts\": [1e0]",
+            &format!("\"width_value_counts\": [{huge}, 2e0]"),
+        );
+    assert!(matches!(
+        ResumeState::from_golden_json(&overflowing),
+        Err(CoreError::InvalidDocument { .. })
+    ));
 }
 
 #[test]
