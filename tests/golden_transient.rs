@@ -1,9 +1,9 @@
 //! Golden-regression fixtures for the transient modulation loop: one
 //! Test-A and one Test-B run are pinned as JSON snapshots (sampled
 //! temperatures plus the widths chosen at every epoch), next to an MPSoC
-//! run and two fleet runs. Every fixture is compared member by member by
-//! one tree comparer (numbers within 1e-9), so modulation numerics cannot
-//! drift silently.
+//! run, two fleet runs and the steady design flow underneath them all.
+//! Every fixture is compared member by member by one tree comparer
+//! (numbers within 1e-9), so modulation numerics cannot drift silently.
 //!
 //! The fixtures live in `tests/golden/`; regenerate them after an
 //! *intentional* numerical change with:
@@ -24,15 +24,19 @@
 
 use liquamod::faults::{self, run_faulted_fleet, DegradedKind, FaultEvent, FaultSchedule};
 use liquamod::fleet::{run_fleet, BudgetPolicy, FleetOptions, PumpBudget, StackSpec};
-use liquamod::floorplan::testcase::TEST_B_DEFAULT_SEED;
+use liquamod::floorplan::testcase::{self, TEST_B_DEFAULT_SEED};
 use liquamod::floorplan::{arch, trace, PowerLevel};
 use liquamod::json::Json;
 use liquamod::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTraceSpec};
+use liquamod::thermal_model::ModelParams;
 use liquamod::transient::{
     EpochPolicy, ModulationController, ModulationPolicy, StripTrace, TransientConfig,
     TransientOutcome,
 };
-use liquamod::{ExecutionMode, OptimizationConfig};
+use liquamod::{
+    experiments, optimize_min_pumping, optimize_resumed, strip_model, DesignOutcome, ExecutionMode,
+    OptimizationConfig,
+};
 use liquamod_repro::golden;
 use std::path::PathBuf;
 
@@ -289,6 +293,69 @@ fn golden_mpsoc_arch1_niagara_run() {
     // Every epoch records 2 cavities × 2 groups of 2-segment samples.
     assert_eq!(outcome.epochs[0].widths_um.len(), 4);
     diff_or_regen("mpsoc_arch1_niagara", &outcome);
+}
+
+/// One steady design outcome as a fixture member.
+fn design_json(outcome: &DesignOutcome) -> Json {
+    Json::object([
+        ("x_opt", Json::numbers(&outcome.x_opt)),
+        ("objective", Json::from(outcome.objective)),
+        ("evaluations", Json::from(outcome.evaluations)),
+        ("feasible", Json::flag(outcome.feasible)),
+        (
+            "pressure_drops_pa",
+            Json::numbers(outcome.pressure_drops.iter().map(|p| p.as_pascals())),
+        ),
+        (
+            "gradient_k",
+            Json::from(outcome.solution.thermal_gradient().as_kelvin()),
+        ),
+    ])
+}
+
+/// The steady design flow (paper §IV) that every transient, fleet and serve
+/// fixture reaches only through an epoch: Test A on the strip, the
+/// two-column slice whose Eq. (10) equalities couple the groups, the §IV-B
+/// min-pumping dual at a cost bound halfway between the uniform-`w_max` and
+/// the optimal cost, and a cold → resumed pair (cold on Test B, resumed on
+/// Test A) whose second solve runs under the resume caps.
+#[test]
+fn golden_design_steady_run() {
+    let params = ModelParams::date2012();
+    let config = OptimizationConfig {
+        segments: 4,
+        mesh_intervals: 48,
+        ..OptimizationConfig::fast()
+    };
+    let test_a = experiments::test_a(&params, &config).unwrap();
+    let (_, slice) = experiments::mpsoc_small_for_tests(&params, &config).unwrap();
+    assert_eq!(slice.outcome.pressure_drops.len(), 2, "two coupled columns");
+
+    let strip_a = strip_model(&testcase::test_a(), &params).unwrap();
+    let bound = 0.5 * (test_a.outcome.objective + test_a.maximum_solution.cost_gradient_squared());
+    let min_pumping = optimize_min_pumping(&strip_a, &config, bound).unwrap();
+
+    let strip_b = strip_model(&testcase::test_b(), &params).unwrap();
+    let (cold, warm) = optimize_resumed(&strip_b, &config, None).unwrap();
+    let (resumed, next) = optimize_resumed(&strip_a, &config, Some(&warm)).unwrap();
+
+    let document = Json::object([
+        ("schema_version", Json::Int(1)),
+        ("scenario", Json::from("design_steady")),
+        ("test_a", design_json(&test_a.outcome)),
+        ("two_column_slice", design_json(&slice.outcome)),
+        ("min_pumping_cost_bound", Json::from(bound)),
+        ("min_pumping", design_json(&min_pumping)),
+        ("cold", design_json(&cold)),
+        ("resumed", design_json(&resumed)),
+        (
+            "resumed_inequality_multipliers",
+            Json::numbers(&next.inequality_multipliers),
+        ),
+        ("resumed_penalty", Json::from(next.penalty)),
+    ])
+    .to_document();
+    golden::check("design_steady.json", &document, assert_matches_fixture);
 }
 
 /// The reader is part of the regression surface: it reads back exactly
