@@ -1,8 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md §8 calls out:
-//! Nusselt correlation, friction model, objective form and solver choice.
-//! Each ablation runs the fast Test-A design flow under one variation and
-//! reports wall time; the companion accuracy numbers are printed by the
-//! fig5/fig6 harnesses and EXPERIMENTS.md.
+//! Ablation benches for the modeling choices: Nusselt correlation, friction
+//! model and objective form. Each ablation runs the fast Test-A design flow
+//! under one variation and reports wall time; the direction each choice
+//! moves the results is asserted in `tests/integration_ablations.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use liquamod::microfluidics::{friction::FrictionModel, nusselt::NusseltCorrelation};
@@ -52,23 +51,6 @@ fn bench_friction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_solver(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/solver");
-    group.sample_size(10);
-    for (name, solver) in [
-        ("lbfgsb", SolverKind::LbfgsB),
-        ("projgrad", SolverKind::ProjGrad),
-        ("neldermead", SolverKind::NelderMead),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            let params = ModelParams::date2012();
-            let config = OptimizationConfig { solver, ..tiny() };
-            b.iter(|| experiments::test_a(&params, &config).expect("runs"));
-        });
-    }
-    group.finish();
-}
-
 fn bench_objective(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/objective");
     group.sample_size(10);
@@ -88,11 +70,5 @@ fn bench_objective(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_nusselt,
-    bench_friction,
-    bench_solver,
-    bench_objective
-);
+criterion_group!(benches, bench_nusselt, bench_friction, bench_objective);
 criterion_main!(benches);

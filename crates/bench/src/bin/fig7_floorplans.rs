@@ -1,5 +1,6 @@
 //! Fig. 7 — the layouts of the three two-die 3D-MPSoC arrangements used in
-//! the §V-B experiments (reconstructed; see DESIGN.md §6).
+//! the §V-B experiments (reconstructed; see the `floorplan::niagara` module
+//! docs).
 //!
 //! Run with: `cargo run --release -p bench --bin fig7_floorplans`
 

@@ -25,14 +25,15 @@
 //! the uniform split *and* the predictive allocator to strictly beat
 //! water-filling on the worst stack's time-peak gradient.
 //!
-//! The `faults` mode drives the fleet through adversarial operating
-//! scenarios (pump-degradation ramp, stuck valve group, coolant inlet
-//! excursion) under a deterministic seeded fault schedule, head-to-head
-//! between the fault-aware degraded controller and a fault-oblivious
-//! baseline. The gate requires the aware controller to strictly beat the
-//! oblivious one on every scenario's worst-stack time-peak gradient, stay
-//! within the declared excursion bound of the healthy run, and surface
-//! structured degraded-mode events for every fault scenario.
+//! The `faults` mode drives a three-stack average→peak fleet (one stack
+//! per Fig. 7 architecture) through adversarial operating scenarios
+//! (pump-degradation ramp, stuck valve group, coolant inlet excursion)
+//! under a deterministic seeded fault schedule, head-to-head between the
+//! fault-aware degraded controller and a fault-oblivious baseline. The
+//! gate requires the aware controller to strictly beat the oblivious one
+//! on every scenario's worst-stack time-peak gradient, stay within the
+//! declared excursion bound of the healthy run, and surface structured
+//! degraded-mode events for every fault scenario.
 //!
 //! The `serve` mode soaks the streaming modulation service: a pool of
 //! concurrent stack sessions streaming phases one at a time under a shared
@@ -62,7 +63,7 @@ use liquamod::fleet::{run_fleet_sweep, BudgetPolicy, FleetGrid, FleetSweepOption
 use liquamod::floorplan::PowerLevel;
 use liquamod::grid_sim::{ExponentialOptions, StepperKind};
 use liquamod::json::Json;
-use liquamod::mpsoc::{run_mpsoc_sweep, MpsocGrid, MpsocSweepOptions};
+use liquamod::mpsoc::{run_mpsoc_sweep, ArchSpec, MpsocGrid, MpsocSweepOptions, MpsocTraceSpec};
 use liquamod::serve::{
     run_soak, soak_level, soak_outcomes_match, verify_snapshot_restore, verify_streaming_identity,
     ServeOptions, SnapshotFidelity, SoakPlan, StreamingIdentity,
@@ -940,7 +941,17 @@ fn faults_gate(report: &FaultsReport) -> Option<String> {
 /// fault-aware vs fault-oblivious.
 fn run_faults_mode(args: &Args) -> ExitCode {
     banner("fault injection: scenario grid, fault-aware vs fault-oblivious");
-    let stacks = FleetGrid::bench_default().stacks;
+    // All three architectures through the same average→peak burst, the
+    // fleet BENCH_faults.json and its gate were recorded on. Not the fleet
+    // bench's migrating-peak fleet: on its healthy row, at the nominal
+    // budget, the reactive allocator loses to the uniform split.
+    let stacks: Vec<StackSpec> = ArchSpec::all()
+        .into_iter()
+        .map(|arch| StackSpec {
+            arch,
+            trace: MpsocTraceSpec::avg_to_peak(),
+        })
+        .collect();
     let available = available_cores();
     let mode = execution_mode(args, available);
     let mut options = FaultsSweepOptions::fast(stacks.len(), mode);

@@ -12,7 +12,7 @@ fn main() {
 
     for (label, params) in [
         (
-            "calibrated default (see DESIGN.md §6)",
+            "calibrated default (see the ModelParams docs)",
             ModelParams::date2012(),
         ),
         ("Table I verbatim", ModelParams::table1_verbatim()),

@@ -12,9 +12,8 @@
 
 use crate::{CoreError, Result};
 use liquamod_optimal_control::{
-    augmented_lagrangian, augmented_lagrangian_warm, nelder_mead, projected_gradient,
-    AugLagOptions, AugLagResult, AugLagWarmStart, Bounds, ConstrainedObjective, LbfgsOptions,
-    NelderMeadOptions, ProjGradOptions,
+    augmented_lagrangian, augmented_lagrangian_warm, AugLagOptions, AugLagResult, AugLagWarmStart,
+    Bounds, ConstrainedObjective, LbfgsOptions,
 };
 use liquamod_thermal_model::{
     Model, Solution, SolveOptions, SolveWorkspace, WidthProfile, WorkspacePool,
@@ -33,21 +32,28 @@ pub enum ObjectiveKind {
     HeatflowSquared,
 }
 
-/// Which NLP solver drives the (inner) minimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Projected L-BFGS inside an augmented Lagrangian (default).
-    #[default]
-    LbfgsB,
-    /// Projected gradient descent (ablation baseline; pressure constraints
-    /// are ignored apart from the width box, so use only for studies).
-    ProjGrad,
-    /// Nelder–Mead simplex (derivative-free ablation baseline; pressure
-    /// constraints are ignored apart from the width box).
-    NelderMead,
-}
+/// Inner-iteration cap for *resumed* solves ([`optimize_resumed`] with
+/// dual state): a resumed epoch starts at the previous optimum with
+/// converged multipliers, so after the first few refinement iterations the
+/// remaining budget only polishes finite-difference noise. Cold solves (and
+/// plain [`optimize_warm`]) are never capped by this.
+const RESUME_INNER_ITERATIONS: usize = 8;
+
+/// Outer-iteration cap for *resumed* solves, the dual-side twin of
+/// [`RESUME_INNER_ITERATIONS`]. With warm multipliers each outer iteration
+/// is one capped primal solve plus one multiplier update, so a cap of 1
+/// turns every resumed epoch into a single real-time-style correction step;
+/// the multiplier updates still accumulate *across* epochs because the
+/// controller carries the dual state forward, and the
+/// adopt-only-if-not-worse rule discards any correction that converged too
+/// little to help. Cold solves are never capped.
+const RESUME_OUTER_ITERATIONS: usize = 1;
 
 /// Configuration of one design-flow run.
+///
+/// Every run minimizes with the augmented Lagrangian over projected L-BFGS;
+/// the paper's Eq. (10) equal-pressure coupling applies whenever the model
+/// has two or more columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationConfig {
     /// Piecewise-constant segments per column (the control resolution `K`).
@@ -56,30 +62,9 @@ pub struct OptimizationConfig {
     pub mesh_intervals: usize,
     /// Cost integral to minimize.
     pub objective: ObjectiveKind,
-    /// Enforce the paper's Eq. (10) equal-pressure coupling across columns.
-    pub equal_pressure: bool,
-    /// NLP solver choice.
-    pub solver: SolverKind,
-    /// Outer/inner constrained-solver options.
+    /// Outer/inner constrained-solver options ([`optimize_resumed`] caps
+    /// them further for resumed solves).
     pub auglag: AugLagOptions,
-    /// Inner-iteration cap for *resumed* solves ([`optimize_resumed`] with
-    /// dual state): a resumed epoch starts at the previous optimum with
-    /// converged multipliers, so after the first few refinement iterations
-    /// the remaining budget only polishes finite-difference noise. `None`
-    /// keeps the full `auglag.inner.max_iterations` budget for resumed
-    /// solves too. Cold solves (and plain [`optimize_warm`]) are never
-    /// capped by this.
-    pub resume_inner_iterations: Option<usize>,
-    /// Outer-iteration cap for *resumed* solves, the dual-side twin of
-    /// `resume_inner_iterations`. With warm multipliers each outer
-    /// iteration is one capped primal solve plus one multiplier update, so
-    /// `Some(1)` turns every resumed epoch into a single real-time-style
-    /// correction step; the multiplier updates still accumulate *across*
-    /// epochs because the controller carries the dual state forward, and
-    /// the adopt-only-if-not-worse rule discards any correction that
-    /// converged too little to help. `None` keeps the full
-    /// `auglag.max_outer_iterations` budget. Cold solves are never capped.
-    pub resume_outer_iterations: Option<usize>,
     /// Worker threads for finite-difference gradients.
     pub fd_threads: usize,
 }
@@ -90,8 +75,6 @@ impl Default for OptimizationConfig {
             segments: 16,
             mesh_intervals: 384,
             objective: ObjectiveKind::default(),
-            equal_pressure: true,
-            solver: SolverKind::default(),
             auglag: AugLagOptions {
                 max_outer_iterations: 8,
                 violation_tol: 1e-4,
@@ -104,8 +87,6 @@ impl Default for OptimizationConfig {
                 },
                 ..AugLagOptions::default()
             },
-            resume_inner_iterations: Some(8),
-            resume_outer_iterations: Some(1),
             fd_threads: default_threads(),
         }
     }
@@ -147,6 +128,18 @@ impl OptimizationConfig {
             });
         }
         Ok(())
+    }
+
+    /// The constrained-solver options of one run: `auglag` with the
+    /// finite-difference workers, capped for a `resumed` solve.
+    fn solver_options(&self, resumed: bool) -> AugLagOptions {
+        let mut auglag = self.auglag.clone();
+        auglag.inner.fd_threads = self.fd_threads;
+        if resumed {
+            auglag.inner.max_iterations = auglag.inner.max_iterations.min(RESUME_INNER_ITERATIONS);
+            auglag.max_outer_iterations = auglag.max_outer_iterations.min(RESUME_OUTER_ITERATIONS);
+        }
+        auglag
     }
 }
 
@@ -210,10 +203,11 @@ struct WidthProblem<'a> {
     w_max: f64,
     dp_max: f64,
     solve: SolveOptions,
-    /// Objective normalization: the cost at the starting point. The raw
-    /// Eq. (7) integral is O(1e4–1e6) while the normalized pressure
-    /// constraints are O(1); without this scaling the augmented-Lagrangian
-    /// penalties would be invisible next to the objective.
+    /// Objective normalization: the cost at the uniformly-`w_max` point
+    /// (the paper's baseline). The raw Eq. (7) integral is O(1e4–1e6) while
+    /// the normalized pressure constraints are O(1); without this scaling
+    /// the augmented-Lagrangian penalties would be invisible next to the
+    /// objective.
     j_scale: f64,
     /// Per-worker [`SolveWorkspace`]s: every objective evaluation solves the
     /// BVP through a pooled workspace, so the mesh and banded-system buffers
@@ -222,7 +216,40 @@ struct WidthProblem<'a> {
     pool: WorkspacePool,
 }
 
-impl WidthProblem<'_> {
+impl<'a> WidthProblem<'a> {
+    /// The width problem of `model` under `config`, normalized by the cost
+    /// at the uniformly-`w_max` anchor — the same anchor for cold and
+    /// warm-started solves, so both minimize exactly the same scaled
+    /// problem.
+    fn new(model: &'a Model, config: &'a OptimizationConfig) -> Result<Self> {
+        config.validate()?;
+        let params = model.params();
+        let mut problem = WidthProblem {
+            base: model,
+            config,
+            n_cols: model.columns().len(),
+            w_min: params.w_min.si(),
+            w_max: params.w_max.si(),
+            dp_max: params.dp_max.si(),
+            solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
+            j_scale: 1.0,
+            pool: WorkspacePool::new(),
+        };
+        let j0 = problem.raw_objective(&problem.anchor());
+        if !(j0.is_finite() && j0 > 0.0) {
+            return Err(CoreError::InvalidConfig {
+                what: format!("cost at the starting point is unusable ({j0})"),
+            });
+        }
+        problem.j_scale = j0;
+        Ok(problem)
+    }
+
+    /// The uniformly-`w_max` point, every normalized width at 1.
+    fn anchor(&self) -> Vec<f64> {
+        vec![1.0; ConstrainedObjective::dim(self)]
+    }
+
     fn widths_from_x(&self, x: &[f64]) -> Vec<WidthProfile> {
         let k = self.config.segments;
         (0..self.n_cols)
@@ -284,6 +311,31 @@ impl WidthProblem<'_> {
             Err(_) => f64::INFINITY,
         }
     }
+
+    /// Re-solves the design at `x_opt` with its full solution profile and
+    /// reports it; `objective` maps that solution to the reported cost.
+    fn outcome(
+        &self,
+        x_opt: Vec<f64>,
+        evaluations: usize,
+        feasible: bool,
+        objective: impl FnOnce(&Solution) -> f64,
+    ) -> Result<DesignOutcome> {
+        let widths = self.widths_from_x(&x_opt);
+        let model = self.model_with(&x_opt);
+        let solution = self.pool.with(|ws| model.solve_with(&self.solve, ws))?;
+        let pressure_drops = model.pressure_drops()?;
+        Ok(DesignOutcome {
+            objective: objective(&solution),
+            model,
+            solution,
+            widths,
+            x_opt,
+            pressure_drops,
+            evaluations,
+            feasible,
+        })
+    }
 }
 
 impl ConstrainedObjective for WidthProblem<'_> {
@@ -305,7 +357,7 @@ impl ConstrainedObjective for WidthProblem<'_> {
 
     fn equality(&self, x: &[f64]) -> Vec<f64> {
         // (ΔPᵢ − mean)/ΔP_max = 0 (paper Eq. 10), only with several columns.
-        if !self.config.equal_pressure || self.n_cols < 2 {
+        if self.n_cols < 2 {
             return Vec::new();
         }
         let drops = self.pressure_drops(x);
@@ -356,9 +408,9 @@ pub fn optimize_warm(
 /// [`DesignWarmStart`] from a previous epoch, the solve seeds the start
 /// point from `warm.x` (projected, pressure-feasibility-repaired as in
 /// [`optimize_warm`]) and the multipliers/penalty from the stored dual
-/// state. Dual seeding only applies to the default [`SolverKind::LbfgsB`]
-/// path; the ablation solvers use `warm.x` alone. Returns the outcome plus
-/// the warm start for the *next* solve.
+/// state, and caps the solve at 8 inner and 1 outer iteration (it starts
+/// next to the previous optimum). Returns the outcome plus the warm start
+/// for the *next* solve.
 ///
 /// # Errors
 ///
@@ -382,130 +434,47 @@ fn optimize_inner(
     start: Option<&[f64]>,
     dual: Option<&AugLagWarmStart>,
 ) -> Result<(DesignOutcome, DesignWarmStart)> {
-    config.validate()?;
-    let params = model.params();
-    let mut problem = WidthProblem {
-        base: model,
-        config,
-        n_cols: model.columns().len(),
-        w_min: params.w_min.si(),
-        w_max: params.w_max.si(),
-        dp_max: params.dp_max.si(),
-        solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
-        j_scale: 1.0,
-        pool: WorkspacePool::new(),
-    };
+    let problem = WidthProblem::new(model, config)?;
     let dim = ConstrainedObjective::dim(&problem);
-    if let Some(s) = start {
-        if s.len() != dim {
+    let x0 = match start {
+        Some(s) if s.len() != dim => {
             return Err(CoreError::InvalidConfig {
                 what: format!("warm start has dimension {}, problem needs {dim}", s.len()),
-            });
+            })
         }
-    }
-    let bounds = Bounds::uniform(dim, 0.0, 1.0)?;
-    // The normalization anchor is always the uniformly-w_max point (the
-    // paper's baseline), even when warm-starting elsewhere.
-    let anchor = vec![1.0; dim];
-    let j0 = problem.raw_objective(&anchor);
-    if !(j0.is_finite() && j0 > 0.0) {
-        return Err(CoreError::InvalidConfig {
-            what: format!("cost at the starting point is unusable ({j0})"),
-        });
-    }
-    problem.j_scale = j0;
-    let x0 = match start {
+        // Project into the [0, 1] box (identity for in-box starts, so sweep
+        // warm-starting is unaffected).
         Some(s) => {
-            // Project into the [0, 1] box (identity for in-box starts, so
-            // sweep warm-starting is unaffected).
             let boxed: Vec<f64> = s.iter().map(|v| v.clamp(0.0, 1.0)).collect();
             feasible_warm_start(&problem, &boxed)
         }
-        None => anchor,
+        None => problem.anchor(),
     };
-
-    let (x_opt, objective, evaluations, feasible, next_dual) = match config.solver {
-        SolverKind::LbfgsB => {
-            let mut auglag = config.auglag.clone();
-            auglag.inner.fd_threads = config.fd_threads;
-            if dual.is_some() {
-                if let Some(cap) = config.resume_inner_iterations {
-                    auglag.inner.max_iterations = auglag.inner.max_iterations.min(cap);
-                }
-                if let Some(cap) = config.resume_outer_iterations {
-                    auglag.max_outer_iterations = auglag.max_outer_iterations.min(cap);
-                }
-            }
-            let AugLagResult {
-                x,
-                objective,
-                evaluations,
-                feasible,
-                inequality_multipliers,
-                equality_multipliers,
-                penalty,
-                ..
-            } = augmented_lagrangian_warm(&problem, &bounds, &x0, &auglag, dual);
-            let next = AugLagWarmStart {
-                inequality_multipliers,
-                equality_multipliers,
-                penalty,
-            };
-            (x, objective, evaluations, feasible, next)
-        }
-        SolverKind::ProjGrad => {
-            let opts = ProjGradOptions {
-                max_iterations: config.auglag.inner.max_iterations,
-                fd_threads: config.fd_threads,
-                ..ProjGradOptions::default()
-            };
-            let r = projected_gradient(&ObjOnly(&problem), &bounds, &x0, &opts);
-            let next = AugLagWarmStart {
-                inequality_multipliers: Vec::new(),
-                equality_multipliers: Vec::new(),
-                penalty: config.auglag.initial_penalty,
-            };
-            (r.x, r.objective, r.evaluations, true, next)
-        }
-        SolverKind::NelderMead => {
-            let opts = NelderMeadOptions {
-                max_iterations: 40 * dim,
-                ..NelderMeadOptions::default()
-            };
-            let r = nelder_mead(&ObjOnly(&problem), &bounds, &x0, &opts);
-            let next = AugLagWarmStart {
-                inequality_multipliers: Vec::new(),
-                equality_multipliers: Vec::new(),
-                penalty: config.auglag.initial_penalty,
-            };
-            (r.x, r.objective, r.evaluations, true, next)
-        }
-    };
-
-    let widths = problem.widths_from_x(&x_opt);
-    let optimized = problem.model_with(&x_opt);
-    let solution = problem
-        .pool
-        .with(|ws| optimized.solve_with(&problem.solve, ws))?;
-    let pressure_drops = optimized.pressure_drops()?;
-    // Report the raw Eq. (7) cost, not the normalized solver value.
-    let objective = objective * problem.j_scale;
-    let next_warm = DesignWarmStart {
-        x: x_opt.clone(),
-        inequality_multipliers: next_dual.inequality_multipliers,
-        equality_multipliers: next_dual.equality_multipliers,
-        penalty: next_dual.penalty,
-    };
-    let outcome = DesignOutcome {
-        model: optimized,
-        solution,
-        widths,
-        x_opt,
-        pressure_drops,
+    let bounds = Bounds::uniform(dim, 0.0, 1.0)?;
+    let AugLagResult {
+        x,
         objective,
         evaluations,
         feasible,
+        inequality_multipliers,
+        equality_multipliers,
+        penalty,
+        ..
+    } = augmented_lagrangian_warm(
+        &problem,
+        &bounds,
+        &x0,
+        &config.solver_options(dual.is_some()),
+        dual,
+    );
+    let next_warm = DesignWarmStart {
+        x: x.clone(),
+        inequality_multipliers,
+        equality_multipliers,
+        penalty,
     };
+    // Report the raw Eq. (7) cost, not the normalized solver value.
+    let outcome = problem.outcome(x, evaluations, feasible, |_| objective * problem.j_scale)?;
     Ok((outcome, next_warm))
 }
 
@@ -544,19 +513,6 @@ fn feasible_warm_start(problem: &WidthProblem<'_>, start: &[f64]) -> Vec<f64> {
     blend(hi)
 }
 
-/// Adapter presenting only the objective of a [`ConstrainedObjective`] to
-/// the unconstrained solvers (ablation paths).
-struct ObjOnly<'a>(&'a WidthProblem<'a>);
-
-impl liquamod_optimal_control::Objective for ObjOnly<'_> {
-    fn dim(&self) -> usize {
-        ConstrainedObjective::dim(self.0)
-    }
-    fn value(&self, x: &[f64]) -> f64 {
-        self.0.objective(x)
-    }
-}
-
 /// The paper's §IV-B dual formulation: minimize the pumping effort with an
 /// upper bound on the thermal cost. ("Note that the optimal design problem
 /// can alternatively be stated as minimizing the pumping effort, with an
@@ -564,7 +520,8 @@ impl liquamod_optimal_control::Objective for ObjOnly<'_> {
 ///
 /// The objective is the mean per-channel pressure drop normalized by
 /// `ΔP_max`; constraints are `J(x) ≤ cost_bound` (thermal) plus the usual
-/// `ΔPᵢ ≤ ΔP_max` and optional equal-pressure coupling.
+/// `ΔPᵢ ≤ ΔP_max` and, with several columns, the Eq. (10) equal-pressure
+/// coupling.
 ///
 /// # Errors
 ///
@@ -574,34 +531,12 @@ pub fn optimize_min_pumping(
     config: &OptimizationConfig,
     cost_bound: f64,
 ) -> Result<DesignOutcome> {
-    config.validate()?;
     if !(cost_bound.is_finite() && cost_bound > 0.0) {
         return Err(CoreError::InvalidConfig {
             what: format!("cost_bound must be positive, got {cost_bound}"),
         });
     }
-    let params = model.params();
-    let mut thermal = WidthProblem {
-        base: model,
-        config,
-        n_cols: model.columns().len(),
-        w_min: params.w_min.si(),
-        w_max: params.w_max.si(),
-        dp_max: params.dp_max.si(),
-        solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
-        j_scale: 1.0,
-        pool: WorkspacePool::new(),
-    };
-    let dim = ConstrainedObjective::dim(&thermal);
-    let bounds = Bounds::uniform(dim, 0.0, 1.0)?;
-    let x0 = vec![1.0; dim];
-    let j0 = thermal.raw_objective(&x0);
-    if !(j0.is_finite() && j0 > 0.0) {
-        return Err(CoreError::InvalidConfig {
-            what: format!("cost at the starting point is unusable ({j0})"),
-        });
-    }
-    thermal.j_scale = j0;
+    let thermal = WidthProblem::new(model, config)?;
 
     struct MinPumping<'a> {
         inner: &'a WidthProblem<'a>,
@@ -630,34 +565,23 @@ pub fn optimize_min_pumping(
         inner: &thermal,
         cost_bound,
     };
-    let mut auglag = config.auglag.clone();
-    auglag.inner.fd_threads = config.fd_threads;
+    let bounds = Bounds::uniform(ConstrainedObjective::dim(&thermal), 0.0, 1.0)?;
     let AugLagResult {
         x,
         evaluations,
         feasible,
         ..
-    } = augmented_lagrangian(&dual, &bounds, &x0, &auglag);
-
-    let widths = thermal.widths_from_x(&x);
-    let optimized = thermal.model_with(&x);
-    let solution = thermal
-        .pool
-        .with(|ws| optimized.solve_with(&thermal.solve, ws))?;
-    let pressure_drops = optimized.pressure_drops()?;
-    let objective = match config.objective {
-        ObjectiveKind::GradientSquared => solution.cost_gradient_squared(),
-        ObjectiveKind::HeatflowSquared => solution.cost_heatflow_squared(),
-    };
-    Ok(DesignOutcome {
-        model: optimized,
-        solution,
-        widths,
-        x_opt: x,
-        pressure_drops,
-        objective,
-        evaluations,
-        feasible,
+    } = augmented_lagrangian(
+        &dual,
+        &bounds,
+        &thermal.anchor(),
+        &config.solver_options(false),
+    );
+    thermal.outcome(x, evaluations, feasible, |solution| {
+        match config.objective {
+            ObjectiveKind::GradientSquared => solution.cost_gradient_squared(),
+            ObjectiveKind::HeatflowSquared => solution.cost_heatflow_squared(),
+        }
     })
 }
 
@@ -717,23 +641,12 @@ mod tests {
 
     #[test]
     fn width_mapping_roundtrip() {
-        let params = ModelParams::date2012();
-        let model = strip(&params);
+        let model = strip(&ModelParams::date2012());
         let config = OptimizationConfig {
             segments: 4,
             ..OptimizationConfig::fast()
         };
-        let problem = WidthProblem {
-            base: &model,
-            config: &config,
-            n_cols: 1,
-            w_min: params.w_min.si(),
-            w_max: params.w_max.si(),
-            dp_max: params.dp_max.si(),
-            solve: SolveOptions::with_mesh_intervals(64),
-            j_scale: 1.0,
-            pool: WorkspacePool::new(),
-        };
+        let problem = WidthProblem::new(&model, &config).unwrap();
         let widths = problem.widths_from_x(&[0.0, 1.0, 0.5, 2.0]);
         match &widths[0] {
             WidthProfile::PiecewiseConstant { widths } => {
@@ -750,23 +663,12 @@ mod tests {
 
     #[test]
     fn pressure_constraints_signal_violations() {
-        let params = ModelParams::date2012();
-        let model = strip(&params);
+        let model = strip(&ModelParams::date2012());
         let config = OptimizationConfig {
             segments: 2,
             ..OptimizationConfig::fast()
         };
-        let problem = WidthProblem {
-            base: &model,
-            config: &config,
-            n_cols: 1,
-            w_min: params.w_min.si(),
-            w_max: params.w_max.si(),
-            dp_max: params.dp_max.si(),
-            solve: SolveOptions::with_mesh_intervals(64),
-            j_scale: 1.0,
-            pool: WorkspacePool::new(),
-        };
+        let problem = WidthProblem::new(&model, &config).unwrap();
         // All-minimum widths exceed ΔP_max at the calibrated flow → g > 0.
         let g_min = problem.inequality(&[0.0, 0.0]);
         assert!(g_min[0] > 0.0, "min width should violate: g = {}", g_min[0]);
@@ -777,20 +679,9 @@ mod tests {
 
     #[test]
     fn equality_constraints_only_with_multiple_columns() {
-        let params = ModelParams::date2012();
-        let model = strip(&params);
+        let model = strip(&ModelParams::date2012());
         let config = OptimizationConfig::fast();
-        let problem = WidthProblem {
-            base: &model,
-            config: &config,
-            n_cols: 1,
-            w_min: params.w_min.si(),
-            w_max: params.w_max.si(),
-            dp_max: params.dp_max.si(),
-            solve: SolveOptions::with_mesh_intervals(64),
-            j_scale: 1.0,
-            pool: WorkspacePool::new(),
-        };
+        let problem = WidthProblem::new(&model, &config).unwrap();
         assert!(problem.equality(&vec![1.0; config.segments]).is_empty());
     }
 

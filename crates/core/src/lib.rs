@@ -76,7 +76,7 @@ pub use compare::{CaseResult, DesignComparison};
 pub use csv::CsvTable;
 pub use design::{
     optimize, optimize_min_pumping, optimize_resumed, optimize_warm, DesignOutcome,
-    DesignWarmStart, ObjectiveKind, OptimizationConfig, SolverKind,
+    DesignWarmStart, ObjectiveKind, OptimizationConfig,
 };
 pub use error::CoreError;
 pub use faults::{
@@ -122,7 +122,7 @@ pub mod prelude {
     pub use crate::{
         mpsoc_model, optimize, optimize_min_pumping, optimize_warm, strip_model, CaseResult,
         CoreError, DesignComparison, DesignOutcome, MpsocScenario, ObjectiveKind,
-        OptimizationConfig, SolverKind,
+        OptimizationConfig,
     };
     pub use liquamod_floorplan::{arch, niagara, testcase, PowerLevel};
     pub use liquamod_thermal_model::{

@@ -9,7 +9,7 @@
 //! * [`niagara`] — a reconstruction of the 90 nm UltraSPARC T1 (Niagara-1)
 //!   floorplan with per-block peak and average power chosen to reproduce the
 //!   paper's stated flux range of 8–64 W/cm² (the authors' measured traces
-//!   are not public; see `DESIGN.md` §6);
+//!   are not public; see the [`niagara`] module docs);
 //! * [`arch`] — the three two-die 3D-MPSoC arrangements of Fig. 7;
 //! * [`trace`] — piecewise-constant [`trace::PowerTrace`] schedules turning
 //!   the static workloads above into time-varying phases (workload bursts,

@@ -1,5 +1,4 @@
-//! Iterative sparse solvers: BiCGSTAB with Jacobi preconditioning, plus a
-//! Gauss–Seidel fallback for diagnostics.
+//! The iterative sparse solver: BiCGSTAB with Jacobi preconditioning.
 //!
 //! Advection makes the assembled conductance matrix nonsymmetric, ruling out
 //! plain conjugate gradients; BiCGSTAB is the standard Krylov method for
@@ -8,7 +7,7 @@
 use crate::sparse::CsrMatrix;
 use crate::GridSimError;
 
-/// Convergence controls for the iterative solvers.
+/// Convergence controls for [`bicgstab`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
     /// Relative residual target `‖b − Ax‖/‖b‖`.
@@ -165,70 +164,6 @@ pub fn bicgstab(
     })
 }
 
-/// Solves `A·x = b` by Gauss–Seidel sweeps. Slow but simple; retained as an
-/// independent cross-check of BiCGSTAB in tests and for diagnosing
-/// ill-conditioned assemblies.
-///
-/// # Errors
-///
-/// [`GridSimError::NoConvergence`] if the sweep cap is reached, and
-/// [`GridSimError::InvalidStack`] if a diagonal entry is zero.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree.
-pub fn gauss_seidel(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    options: &SolverOptions,
-) -> Result<(Vec<f64>, SolveStats), GridSimError> {
-    let n = a.size();
-    assert_eq!(b.len(), n);
-    assert_eq!(x0.len(), n);
-    let diag = a.diagonal();
-    if diag.contains(&0.0) {
-        return Err(GridSimError::InvalidStack {
-            what: "zero diagonal in system matrix".into(),
-        });
-    }
-    let b_norm = norm(b).max(f64::MIN_POSITIVE);
-    let mut x = x0.to_vec();
-    for it in 1..=options.max_iterations {
-        // One sweep: x_i ← (b_i − Σ_{j≠i} a_ij x_j)/a_ii, in place.
-        for i in 0..n {
-            let mut s = b[i];
-            let mut aii = diag[i];
-            for k in a.row_range(i) {
-                let j = a.col_at(k);
-                if j == i {
-                    aii = a.value_at(k);
-                } else {
-                    s -= a.value_at(k) * x[j];
-                }
-            }
-            x[i] = s / aii;
-        }
-        let ax = a.mul(&x);
-        let res: f64 = (0..n).map(|i| (b[i] - ax[i]).powi(2)).sum::<f64>().sqrt() / b_norm;
-        if res <= options.tolerance {
-            return Ok((
-                x,
-                SolveStats {
-                    iterations: it,
-                    residual: res,
-                },
-            ));
-        }
-    }
-    let ax = a.mul(&x);
-    let res: f64 = (0..n).map(|i| (b[i] - ax[i]).powi(2)).sum::<f64>().sqrt() / b_norm;
-    Err(GridSimError::NoConvergence {
-        iterations: options.max_iterations,
-        residual: res,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,22 +249,6 @@ mod tests {
             },
         );
         assert!(matches!(err, Err(GridSimError::NoConvergence { .. })));
-    }
-
-    #[test]
-    fn gauss_seidel_agrees_with_bicgstab() {
-        let a = advective(40);
-        let x_true: Vec<f64> = (0..40).map(|i| (i as f64 * 0.11).cos()).collect();
-        let b = a.mul(&x_true);
-        let opts = SolverOptions {
-            tolerance: 1e-11,
-            max_iterations: 100_000,
-        };
-        let (xg, _) = gauss_seidel(&a, &b, &vec![0.0; 40], &opts).unwrap();
-        let (xb, _) = bicgstab(&a, &b, &vec![0.0; 40], &opts).unwrap();
-        for i in 0..40 {
-            assert!((xg[i] - xb[i]).abs() < 1e-7, "x[{i}]");
-        }
     }
 
     #[test]

@@ -237,9 +237,9 @@ mod tests {
 
     #[test]
     fn paper_flow_rate_near_limit_at_max_width() {
-        // Sanity anchor from DESIGN.md §6: at the Table I verbatim flow of
-        // 4.8 mL/min/channel a uniform 50 µm channel sits right at the
-        // ΔP_max = 10 bar limit.
+        // Sanity anchor of the flow-rate calibration (`ModelParams` docs in
+        // thermal-model): at the Table I verbatim flow of 4.8 mL/min/channel
+        // a uniform 50 µm channel sits right at the ΔP_max = 10 bar limit.
         let water = Coolant::water_300k();
         let dp = uniform_channel_pressure_drop(
             FrictionModel::LaminarCircular,

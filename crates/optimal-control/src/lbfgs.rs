@@ -9,7 +9,7 @@
 //! the well-scaled gradient direction.
 
 use crate::gradient;
-use crate::linesearch::{armijo_projected, ArmijoOptions};
+use crate::linesearch::armijo_projected;
 use crate::report::{OptimizeResult, StopReason};
 use crate::{Bounds, CountingObjective, Objective};
 use std::collections::VecDeque;
@@ -139,28 +139,12 @@ pub fn lbfgs_b(
             direction.clear();
             direction.extend_from_slice(&grad);
         }
-        let ls = armijo_projected(
-            &counting,
-            bounds,
-            &x,
-            f,
-            &grad,
-            &direction,
-            &ArmijoOptions::default(),
-        );
+        let ls = armijo_projected(&counting, bounds, &x, f, &grad, &direction);
         if ls.step == 0.0 {
             // Retry with pure gradient before declaring failure — the
             // quasi-Newton direction can be poor right after projection
             // changes the active set.
-            let ls_grad = armijo_projected(
-                &counting,
-                bounds,
-                &x,
-                f,
-                &grad,
-                &grad,
-                &ArmijoOptions::default(),
-            );
+            let ls_grad = armijo_projected(&counting, bounds, &x, f, &grad, &grad);
             if ls_grad.step == 0.0 {
                 // A failed backtracking search from the gradient direction
                 // means the attainable decrease is below the
@@ -327,7 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn beats_projected_gradient_on_ill_conditioned_quadratic() {
+    fn solves_ill_conditioned_quadratic() {
+        // Curvatures 1, 10, 100, 1000 along the axes: the quasi-Newton
+        // model must absorb the 1000:1 scaling that stalls steepest descent.
         struct IllQuad;
         impl Objective for IllQuad {
             fn dim(&self) -> usize {
@@ -345,23 +331,8 @@ mod tests {
             max_iterations: 60,
             ..Default::default()
         };
-        let r_lbfgs = lbfgs_b(&IllQuad, &bounds, &[0.1; 4], &opts);
-        let r_pg = crate::projected_gradient(
-            &IllQuad,
-            &bounds,
-            &[0.1; 4],
-            &crate::ProjGradOptions {
-                max_iterations: 60,
-                ..Default::default()
-            },
-        );
-        assert!(
-            r_lbfgs.objective <= r_pg.objective * 1.001,
-            "lbfgs {} vs pg {}",
-            r_lbfgs.objective,
-            r_pg.objective
-        );
-        assert!(r_lbfgs.objective < 1e-6, "lbfgs should nail the quadratic");
+        let r = lbfgs_b(&IllQuad, &bounds, &[0.1; 4], &opts);
+        assert!(r.objective < 1e-6, "lbfgs should nail the quadratic");
     }
 
     #[test]

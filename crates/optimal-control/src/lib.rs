@@ -16,11 +16,13 @@
 //!   multi-threaded forward mode for expensive objectives.
 //! * [`Bounds`] — box constraints with projection (the natural home of the
 //!   paper's width bounds).
-//! * [`projected_gradient`] / [`lbfgs_b`] — projected first-order and
-//!   quasi-Newton solvers with Armijo backtracking.
-//! * [`nelder_mead`] — a derivative-free fallback used in ablations.
+//! * [`lbfgs_b`] — projected limited-memory quasi-Newton with Armijo
+//!   backtracking along the projected path.
 //! * [`augmented_lagrangian`] — PHR augmented Lagrangian handling
-//!   `g(x) ≤ 0` and `h(x) = 0` constraints around any inner solver.
+//!   `g(x) ≤ 0` and `h(x) = 0` constraints around the L-BFGS inner solver.
+//!
+//! The augmented Lagrangian over projected L-BFGS is the one NLP path: every
+//! design, epoch, fleet segment and serve decision runs through it.
 //!
 //! # Example
 //!
@@ -52,9 +54,7 @@ mod error;
 pub mod gradient;
 mod lbfgs;
 mod linesearch;
-mod neldermead;
 mod problem;
-mod projgrad;
 mod report;
 
 pub use auglag::{
@@ -63,9 +63,7 @@ pub use auglag::{
 pub use bounds::Bounds;
 pub use error::OptimalControlError;
 pub use lbfgs::{lbfgs_b, LbfgsOptions};
-pub use neldermead::{nelder_mead, NelderMeadOptions};
 pub use problem::{ConstrainedObjective, CountingObjective, Objective};
-pub use projgrad::{projected_gradient, ProjGradOptions};
 pub use report::{OptimizeResult, StopReason};
 
 /// Convenient result alias for fallible operations in this crate.

@@ -2,29 +2,14 @@
 
 use crate::{Bounds, Objective};
 
-/// Parameters of the Armijo backtracking search.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ArmijoOptions {
-    /// Sufficient-decrease coefficient `c₁`.
-    pub c1: f64,
-    /// Backtracking factor applied to the step on each failure.
-    pub shrink: f64,
-    /// Smallest step before the search gives up.
-    pub min_step: f64,
-    /// Initial trial step.
-    pub initial_step: f64,
-}
-
-impl Default for ArmijoOptions {
-    fn default() -> Self {
-        Self {
-            c1: 1e-4,
-            shrink: 0.5,
-            min_step: 1e-14,
-            initial_step: 1.0,
-        }
-    }
-}
+/// Sufficient-decrease coefficient `c₁` of the Armijo test.
+const C1: f64 = 1e-4;
+/// Backtracking factor applied to the step on each failure.
+const SHRINK: f64 = 0.5;
+/// Smallest step before the search gives up.
+const MIN_STEP: f64 = 1e-14;
+/// Initial trial step.
+const INITIAL_STEP: f64 = 1.0;
 
 /// Result of one line search.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +46,6 @@ pub(crate) fn armijo_projected(
     f0: f64,
     grad: &[f64],
     direction: &[f64],
-    options: &ArmijoOptions,
 ) -> LineSearchOutcome {
     let mut evaluations = 0;
     // One reusable trial buffer serves every backtracking/growth step; the
@@ -90,9 +74,9 @@ pub(crate) fn armijo_projected(
         (f, moved_sq, slope)
     };
 
-    let mut step = options.initial_step;
+    let mut step = INITIAL_STEP;
     let mut accepted: Option<f64> = None;
-    while step >= options.min_step {
+    while step >= MIN_STEP {
         let (f, moved_sq, slope) = trial(step, &mut xt);
         if moved_sq == 0.0 {
             // The projection pinned every component; a shorter step cannot
@@ -104,11 +88,11 @@ pub(crate) fn armijo_projected(
                 evaluations,
             };
         }
-        if slope < 0.0 && f.is_finite() && f <= f0 + options.c1 * slope {
+        if slope < 0.0 && f.is_finite() && f <= f0 + C1 * slope {
             accepted = Some(f);
             break;
         }
-        step *= options.shrink;
+        step *= SHRINK;
     }
     let Some(mut f) = accepted else {
         return LineSearchOutcome {
@@ -125,11 +109,11 @@ pub(crate) fn armijo_projected(
     // still holds. Without this, a quasi-Newton model gone stale (e.g. from
     // finite-difference noise rejecting curvature pairs) can emit tiny
     // always-accepted directions and crawl.
-    if step == options.initial_step {
+    if step == INITIAL_STEP {
         let mut grow = step * 2.0;
         for _ in 0..40 {
             let (fg, moved_sq, slope) = trial(grow, &mut xt);
-            let armijo_ok = slope < 0.0 && fg.is_finite() && fg <= f0 + options.c1 * slope;
+            let armijo_ok = slope < 0.0 && fg.is_finite() && fg <= f0 + C1 * slope;
             if moved_sq == 0.0 || !armijo_ok || fg >= f {
                 break;
             }
@@ -167,15 +151,7 @@ mod tests {
         let x0 = [2.0, 1.0];
         let f0 = Quadratic.value(&x0);
         let grad = [4.0, 8.0];
-        let out = armijo_projected(
-            &Quadratic,
-            &bounds,
-            &x0,
-            f0,
-            &grad,
-            &grad,
-            &ArmijoOptions::default(),
-        );
+        let out = armijo_projected(&Quadratic, &bounds, &x0, f0, &grad, &grad);
         assert!(out.step > 0.0);
         assert!(out.f < f0);
         assert!(out.evaluations >= 1);
@@ -189,15 +165,7 @@ mod tests {
         // Gradient pushes outside the box in component 0; the projected path
         // still reduces the objective along component 1.
         let grad = [-4.0, 8.0];
-        let out = armijo_projected(
-            &Quadratic,
-            &bounds,
-            &x0,
-            f0,
-            &grad,
-            &grad,
-            &ArmijoOptions::default(),
-        );
+        let out = armijo_projected(&Quadratic, &bounds, &x0, f0, &grad, &grad);
         assert!(bounds.contains(&out.x, 0.0));
         assert!(out.f < f0);
         assert_eq!(out.x[0], 0.5, "pinned at the upper bound");
@@ -210,15 +178,7 @@ mod tests {
         let f0 = Quadratic.value(&x0);
         // Gradient pushes both components below the lower bound.
         let grad = [1.0, 1.0];
-        let out = armijo_projected(
-            &Quadratic,
-            &bounds,
-            &x0,
-            f0,
-            &grad,
-            &grad,
-            &ArmijoOptions::default(),
-        );
+        let out = armijo_projected(&Quadratic, &bounds, &x0, f0, &grad, &grad);
         assert_eq!(out.step, 0.0);
         assert_eq!(out.x, x0.to_vec());
     }
@@ -231,15 +191,7 @@ mod tests {
         let grad = [4.0, 8.0];
         // Negated gradient (an ascent direction for the search convention).
         let dir = [-4.0, -8.0];
-        let out = armijo_projected(
-            &Quadratic,
-            &bounds,
-            &x0,
-            f0,
-            &grad,
-            &dir,
-            &ArmijoOptions::default(),
-        );
+        let out = armijo_projected(&Quadratic, &bounds, &x0, f0, &grad, &dir);
         assert_eq!(out.step, 0.0, "no Armijo point along an ascent ray");
         // Ascent rays are rejected without objective evaluations.
         assert_eq!(out.evaluations, 0);
@@ -255,15 +207,7 @@ mod tests {
         let f0 = Quadratic.value(&x0);
         let grad = [4.0, 0.0];
         let dir = [400.0, 0.0]; // 100× the gradient; exact minimizer at t = 0.005.
-        let out = armijo_projected(
-            &Quadratic,
-            &bounds,
-            &x0,
-            f0,
-            &grad,
-            &dir,
-            &ArmijoOptions::default(),
-        );
+        let out = armijo_projected(&Quadratic, &bounds, &x0, f0, &grad, &dir);
         assert!(
             out.step > 0.0,
             "long quasi-Newton direction must be accepted"

@@ -11,8 +11,6 @@ pub enum StopReason {
     LineSearchFailed,
     /// Iteration cap reached.
     MaxIterations,
-    /// Simplex collapsed (Nelder–Mead).
-    SimplexCollapsed,
 }
 
 /// Outcome of a box-constrained solve.

@@ -162,7 +162,7 @@ fn assemble_into(
 
     let n_start = bcs.iter().filter(|bc| bc.end == BcEnd::Start).count();
 
-    // Bandwidths (see DESIGN.md §2.1 / module docs): interval rows couple two
+    // Bandwidths (see the module docs): interval rows couple two
     // adjacent node blocks, offset by the leading BC rows.
     let kl = n_start + s - 1;
     let ku = 2 * s - 1 - n_start.min(2 * s - 1);

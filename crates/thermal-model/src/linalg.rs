@@ -1,7 +1,7 @@
 //! Dense and banded linear solvers used by the collocation BVP engine.
 //!
 //! Everything here is implemented from scratch (no external linear algebra
-//! crates, per `DESIGN.md` §9):
+//! crates):
 //!
 //! * [`DenseLu`] — LU with partial pivoting for small dense systems
 //!   (boundary-condition blocks, verification, unit tests).

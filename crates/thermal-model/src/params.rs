@@ -19,7 +19,7 @@ use liquamod_units::{Length, Pressure, Temperature, ThermalConductivity, Volumet
 /// | `ΔP_max` maximum pressure difference | 10 bar |
 /// | `w_Cmin` / `w_Cmax` channel width bounds | 10 µm / 50 µm |
 ///
-/// **Flow-rate calibration** (see `DESIGN.md` §6): Table I prints
+/// **Flow-rate calibration**: Table I prints
 /// `4.8 mL/min/channel`, but at that rate the sensible coolant heating for the
 /// paper's Test A is ≈1.5 °C — inconsistent with the 28 °C inlet→outlet
 /// gradients the paper reports, which require an advection-dominated regime.

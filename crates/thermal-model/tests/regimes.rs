@@ -21,8 +21,8 @@ fn strip(params: &ModelParams, width_um: f64, q_w_per_m: f64) -> Model {
 fn verbatim_flow_regime_is_convection_dominated() {
     // At Table I's printed 4.8 mL/min/channel the sensible coolant rise is
     // ~1.5 K, so the gradient is set by the convective offsets instead —
-    // exactly the inconsistency DESIGN.md §6 documents. Verify the physics
-    // the calibration argument rests on.
+    // exactly the inconsistency the `ModelParams` flow-rate calibration
+    // docs describe. Verify the physics the calibration argument rests on.
     let params = ModelParams::table1_verbatim();
     let solve = SolveOptions::with_mesh_intervals(256);
     let sol = strip(&params, 50.0, 50.0).solve(&solve).expect("solves");

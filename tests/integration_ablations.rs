@@ -1,6 +1,6 @@
 //! Ablation assertions: each modeling alternative must shift the results in
-//! the physically expected direction (the quantitative tables live in the
-//! Criterion `ablations` bench and EXPERIMENTS.md).
+//! the physically expected direction (the Criterion `ablations` bench times
+//! the same alternatives).
 
 use liquamod::microfluidics::{friction::FrictionModel, nusselt::NusseltCorrelation};
 use liquamod::prelude::*;

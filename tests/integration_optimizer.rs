@@ -146,29 +146,6 @@ fn equal_pressure_coupling_holds_across_groups() {
 }
 
 #[test]
-fn solver_ablation_all_reduce_gradient() {
-    let params = ModelParams::date2012();
-    for solver in [
-        SolverKind::LbfgsB,
-        SolverKind::ProjGrad,
-        SolverKind::NelderMead,
-    ] {
-        let config = OptimizationConfig {
-            segments: 4,
-            mesh_intervals: 48,
-            solver,
-            ..OptimizationConfig::fast()
-        };
-        let cmp = experiments::test_a(&params, &config).expect("test A runs");
-        assert!(
-            cmp.gradient_reduction() > 0.05,
-            "{solver:?} should find >5% reduction, got {:.3}",
-            cmp.gradient_reduction()
-        );
-    }
-}
-
-#[test]
 fn objective_ablation_both_forms_agree() {
     // ‖T'‖² and ‖q‖² are proportional for a single column, so the optima
     // must essentially coincide.
