@@ -27,11 +27,14 @@ use liquamod::fleet::{run_fleet, BudgetPolicy, FleetOptions, PumpBudget, StackSp
 use liquamod::floorplan::testcase::{self, TEST_B_DEFAULT_SEED};
 use liquamod::floorplan::{arch, trace, PowerLevel};
 use liquamod::json::Json;
-use liquamod::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTraceSpec};
+use liquamod::mpsoc::{
+    arch_trace, run_mpsoc_sweep, ArchSpec, MpsocConfig, MpsocGrid, MpsocModulated,
+    MpsocSweepOptions, MpsocTraceSpec,
+};
 use liquamod::thermal_model::ModelParams;
 use liquamod::transient::{
-    EpochPolicy, ModulationController, ModulationPolicy, StripTrace, TransientConfig,
-    TransientOutcome,
+    run_transient_sweep, EpochPolicy, ModulationController, ModulationPolicy, StripTrace,
+    TraceSpec, TransientConfig, TransientGrid, TransientOutcome, TransientSweepOptions,
 };
 use liquamod::{
     experiments, optimize_min_pumping, optimize_resumed, strip_model, DesignOutcome, ExecutionMode,
@@ -293,6 +296,98 @@ fn golden_mpsoc_arch1_niagara_run() {
     // Every epoch records 2 cavities × 2 groups of 2-segment samples.
     assert_eq!(outcome.epochs[0].widths_um.len(), 4);
     diff_or_regen("mpsoc_arch1_niagara", &outcome);
+}
+
+/// One modulated-vs-frozen sweep row as a fixture member.
+macro_rules! modulation_row {
+    ($row:expr) => {
+        Json::object([
+            ("label", Json::from($row.variant.label())),
+            (
+                "peak_gradient_modulated_k",
+                Json::from($row.peak_gradient_modulated_k),
+            ),
+            (
+                "peak_gradient_frozen_k",
+                Json::from($row.peak_gradient_frozen_k),
+            ),
+            (
+                "peak_temperature_modulated_k",
+                Json::from($row.peak_temperature_modulated_k),
+            ),
+            ("gradient_reduction", Json::from($row.gradient_reduction)),
+            ("epochs", Json::from($row.epochs)),
+            ("epochs_adopted", Json::from($row.epochs_adopted)),
+            ("evaluations", Json::from($row.evaluations)),
+        ])
+    };
+}
+
+/// The two modulated-vs-frozen sweeps, run serially on the grids and
+/// configurations of their parallel-matches-serial tests: the strip sweep
+/// (Test-A burst and a 2-phase Test-B draw) and the MPSoC sweep (Arch. 1
+/// and Arch. 3 through the average→peak burst), each at two flow scales,
+/// 6-step phases with an epoch every 6 steps. Pins every row metric.
+#[test]
+fn golden_modulation_sweeps() {
+    let strip_grid = TransientGrid {
+        traces: vec![
+            TraceSpec::TestAStep { high_scale: 1.5 },
+            TraceSpec::TestBPhases { seed: 7, phases: 2 },
+        ],
+        flow_scales: vec![0.75, 1.0],
+    };
+    let mut strip_options = TransientSweepOptions::fast(ExecutionMode::Serial);
+    strip_options.config = TransientConfig {
+        optimizer: OptimizationConfig {
+            segments: 2,
+            mesh_intervals: 32,
+            ..OptimizationConfig::fast()
+        },
+        nz: 16,
+        ..TransientConfig::fast()
+    };
+    strip_options.epoch_steps = 6;
+    strip_options.phase_seconds = 6.0 * strip_options.config.dt_seconds;
+    let strip = run_transient_sweep(&strip_grid, &strip_options).unwrap();
+
+    let mpsoc_grid = MpsocGrid {
+        archs: vec![ArchSpec::Arch1, ArchSpec::Arch3],
+        traces: vec![MpsocTraceSpec::avg_to_peak()],
+        flow_scales: vec![0.75, 1.0],
+    };
+    let mut mpsoc_options = MpsocSweepOptions::fast(ExecutionMode::Serial);
+    mpsoc_options.config = MpsocConfig {
+        optimizer: OptimizationConfig {
+            segments: 2,
+            mesh_intervals: 32,
+            ..OptimizationConfig::fast()
+        },
+        nx: 20,
+        nz: 11,
+        n_groups: 2,
+        ..MpsocConfig::fast()
+    };
+    mpsoc_options.policy = EpochPolicy::FixedCadence { epoch_steps: 6 };
+    mpsoc_options.phase_seconds = 6.0 * mpsoc_options.config.dt_seconds;
+    let mpsoc = run_mpsoc_sweep(&mpsoc_grid, &mpsoc_options).unwrap();
+
+    assert_eq!(strip.rows.len(), strip_grid.len());
+    assert_eq!(mpsoc.rows.len(), mpsoc_grid.len());
+    let document = Json::object([
+        ("schema_version", Json::Int(1)),
+        ("scenario", Json::from("modulation_sweeps")),
+        (
+            "transient",
+            Json::Array(strip.rows.iter().map(|r| modulation_row!(r)).collect()),
+        ),
+        (
+            "mpsoc",
+            Json::Array(mpsoc.rows.iter().map(|r| modulation_row!(r)).collect()),
+        ),
+    ])
+    .to_document();
+    golden::check("modulation_sweeps.json", &document, assert_matches_fixture);
 }
 
 /// One steady design outcome as a fixture member.
