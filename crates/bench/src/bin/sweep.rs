@@ -47,7 +47,7 @@
 //! Run with: `cargo run --release -p bench --bin sweep [-- transient|mpsoc|fleet|faults|serve]`
 //!
 //! Options: `sweep --help` prints them (`print_help` is the one list;
-//! README.md's flag table is generated from its output). `--json`,
+//! CI smoke fails when README.md's flag table lists other flags). `--json`,
 //! `--trace` and `--counters` write the perf record, the Chrome trace and
 //! the deterministic JSONL log, all through `liquamod::json`;
 //! `LIQUAMOD_FAST=1` selects the coarse CI settings.
@@ -70,7 +70,8 @@ use liquamod::serve::{
 };
 use liquamod::sweep::{run_sweep, ExecutionMode, SweepGrid, SweepOptions, SweepReport};
 use liquamod::transient::{
-    run_transient_sweep, EpochPolicy, ModulationPolicy, TransientGrid, TransientSweepOptions,
+    run_transient_sweep, EpochPolicy, ModulationPolicy, ModulationReport, TransientGrid,
+    TransientSweepOptions,
 };
 use liquamod::{ObsReport, ObsSession};
 use liquamod_bench::{banner, print_table};
@@ -94,7 +95,6 @@ struct Args {
     serial: bool,
     workers: Option<NonZeroUsize>,
     baseline: bool,
-    warm_start: bool,
     stepper: StepperKind,
     json: Option<String>,
     trace: Option<String>,
@@ -117,8 +117,8 @@ fn mode_name(mode: Mode) -> &'static str {
     }
 }
 
-/// The usage text `--help` prints; README.md's flag table is generated
-/// from this output — keep them in sync.
+/// The usage text `--help` prints. README.md's flag table mirrors it, and
+/// CI smoke fails when the two flag sets differ.
 fn print_help() {
     println!(
         "liquamod design-space sweep bench
@@ -137,7 +137,6 @@ options (all modes unless noted):
   --workers N        override the parallel worker count
   --no-baseline      skip the serial reference run (faster, but no speedup
                      figure and no runtime determinism check)
-  --cold-start       steady mode only: disable warm-started flow chains
   --stepper KIND     all modes but steady: transient integrator backend,
                      backward-euler (default) or exponential
   --json [PATH]      write a machine-readable perf record
@@ -182,7 +181,6 @@ fn parse_args() -> Result<Args, String> {
         serial: false,
         workers: None,
         baseline: true,
-        warm_start: true,
         stepper: StepperKind::BackwardEuler,
         json: None,
         trace: None,
@@ -199,7 +197,6 @@ fn parse_args() -> Result<Args, String> {
             "serve" => args.mode = Mode::Serve,
             "--serial" => args.serial = true,
             "--no-baseline" => args.baseline = false,
-            "--cold-start" => args.warm_start = false,
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -226,13 +223,7 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = Some(optional_path(&mut it)),
             "--trace" => args.trace = Some(optional_path(&mut it)),
             "--counters" => args.counters = Some(optional_path(&mut it)),
-            other => {
-                return Err(format!(
-                    "unknown argument: {other} (try transient, mpsoc, fleet, faults, serve, \
-                     --serial, --workers N, --no-baseline, --cold-start, --stepper KIND, \
-                     --json [PATH], --trace [PATH], --counters [PATH], or --help)"
-                ))
-            }
+            other => return Err(format!("unknown argument: {other} (try --help)")),
         }
     }
     // Resolve the default artifact paths once the mode is known.
@@ -348,31 +339,6 @@ fn record_tail(
 /// The `variants` member of a record: one row object per variant.
 fn variants(rows: impl Iterator<Item = Json>) -> Members {
     vec![("variants", Json::Array(rows.collect()))]
-}
-
-/// One row of a modulated-vs-frozen record: the transient and mpsoc rows
-/// share the schema and the field names.
-macro_rules! modulated_row {
-    ($row:expr) => {
-        Json::object([
-            ("label", $row.variant.label().into()),
-            (
-                "peak_gradient_modulated_k",
-                Json::fixed($row.peak_gradient_modulated_k, 6),
-            ),
-            (
-                "peak_gradient_frozen_k",
-                Json::fixed($row.peak_gradient_frozen_k, 6),
-            ),
-            (
-                "gradient_reduction",
-                Json::fixed($row.gradient_reduction, 6),
-            ),
-            ("epochs", $row.epochs.into()),
-            ("epochs_adopted", $row.epochs_adopted.into()),
-            ("evaluations", $row.evaluations.into()),
-        ])
-    };
 }
 
 /// A record's `grid` member: the variant count and each axis's length.
@@ -539,6 +505,60 @@ fn finish_mode<R>(
     ExitCode::SUCCESS
 }
 
+/// Shared tail of the `transient` and `mpsoc` modes, after their banner,
+/// grid and clock lines: the observed `sweep` at `mode`, its table, the
+/// serial reference, the strictly-below-frozen gate and the schema-v2
+/// record — the mode's `header` members, then one row per variant.
+fn finish_modulation_mode(
+    what: &'static str,
+    args: &Args,
+    mode: ExecutionMode,
+    header: Members,
+    sweep: impl Fn(ExecutionMode) -> liquamod::Result<ModulationReport>,
+) -> ExitCode {
+    let (report, obs) = match observed(args, &format!("{what} sweep"), || sweep(mode)) {
+        Ok(done) => done,
+        Err(code) => return code,
+    };
+    print_table(&report.to_table());
+    println!(
+        "{} variants in {:.2} s on {} worker(s)",
+        report.rows.len(),
+        report.wall.as_secs_f64(),
+        report.workers,
+    );
+    let gate_rows = report.rows.iter().map(|row| {
+        let (modulated, frozen) = (row.peak_gradient_modulated_k, row.peak_gradient_frozen_k);
+        (row.label.clone(), modulated, frozen)
+    });
+    let rows = report.rows.iter().map(|row| {
+        Json::object([
+            ("label", row.label.as_str().into()),
+            (
+                "peak_gradient_modulated_k",
+                fixed6(row.peak_gradient_modulated_k),
+            ),
+            ("peak_gradient_frozen_k", fixed6(row.peak_gradient_frozen_k)),
+            ("gradient_reduction", fixed6(row.gradient_reduction)),
+            ("epochs", row.epochs.into()),
+            ("epochs_adopted", row.epochs_adopted.into()),
+            ("evaluations", row.evaluations.into()),
+        ])
+    });
+    finish_mode(
+        what,
+        args,
+        report.wall,
+        report.workers,
+        obs.as_ref(),
+        || sweep(ExecutionMode::Serial).map_err(|e| format!("serial baseline failed: {e}")),
+        |s| s.rows == report.rows,
+        |s| s.wall,
+        || beats_baseline(&MODULATED_GATE, gate_rows),
+        |tail| record(what, 2, header, tail, variants(rows)),
+    )
+}
+
 /// The transient mode: modulated-vs-frozen trace scenarios through the
 /// deterministic parallel fan-out.
 fn run_transient_mode(args: &Args) -> ExitCode {
@@ -567,28 +587,6 @@ fn run_transient_mode(args: &Args) -> ExitCode {
         options.epoch_steps,
     );
 
-    let (report, obs) = match observed(args, "transient sweep", || {
-        run_transient_sweep(&grid, &options)
-    }) {
-        Ok(done) => done,
-        Err(code) => return code,
-    };
-    print_table(&report.to_table());
-    println!(
-        "{} variants in {:.2} s on {} worker(s)",
-        report.rows.len(),
-        report.wall.as_secs_f64(),
-        report.workers,
-    );
-
-    let serial_options = TransientSweepOptions {
-        mode: ExecutionMode::Serial,
-        ..options.clone()
-    };
-    let gate_rows = report.rows.iter().map(|row| {
-        let (modulated, frozen) = (row.peak_gradient_modulated_k, row.peak_gradient_frozen_k);
-        (row.variant.label(), modulated, frozen)
-    });
     // v2: adds the `counters` observability block.
     let header = vec![
         grid_member(&[
@@ -601,22 +599,15 @@ fn run_transient_mode(args: &Args) -> ExitCode {
         ("phase_seconds", Json::scientific(options.phase_seconds, 6)),
         ("stepper", stepper_name(&options.config.stepper).into()),
     ];
-    let rows = report.rows.iter().map(|row| modulated_row!(row));
-    finish_mode(
-        "transient",
-        args,
-        report.wall,
-        report.workers,
-        obs.as_ref(),
-        || {
-            run_transient_sweep(&grid, &serial_options)
-                .map_err(|e| format!("serial baseline failed: {e}"))
-        },
-        |s| s.rows == report.rows,
-        |s| s.wall,
-        || beats_baseline(&MODULATED_GATE, gate_rows),
-        |tail| record("transient", 2, header, tail, variants(rows)),
-    )
+    finish_modulation_mode("transient", args, mode, header, |mode| {
+        run_transient_sweep(
+            &grid,
+            &TransientSweepOptions {
+                mode,
+                ..options.clone()
+            },
+        )
+    })
 }
 
 /// `LIQUAMOD_FAST=1`'s coarsening of the full-chip stacks, shared by the
@@ -675,26 +666,6 @@ fn run_mpsoc_mode(args: &Args) -> ExitCode {
         ),
     }
 
-    let (report, obs) = match observed(args, "mpsoc sweep", || run_mpsoc_sweep(&grid, &options)) {
-        Ok(done) => done,
-        Err(code) => return code,
-    };
-    print_table(&report.to_table());
-    println!(
-        "{} variants in {:.2} s on {} worker(s)",
-        report.rows.len(),
-        report.wall.as_secs_f64(),
-        report.workers,
-    );
-
-    let serial_options = MpsocSweepOptions {
-        mode: ExecutionMode::Serial,
-        ..options.clone()
-    };
-    let gate_rows = report.rows.iter().map(|row| {
-        let (modulated, frozen) = (row.peak_gradient_modulated_k, row.peak_gradient_frozen_k);
-        (row.variant.label(), modulated, frozen)
-    });
     // v2: adds the `counters` observability block.
     let header = vec![
         grid_member(&[
@@ -709,22 +680,15 @@ fn run_mpsoc_mode(args: &Args) -> ExitCode {
         ("phase_seconds", Json::scientific(options.phase_seconds, 6)),
         ("stepper", stepper_name(&options.config.stepper).into()),
     ];
-    let rows = report.rows.iter().map(|row| modulated_row!(row));
-    finish_mode(
-        "mpsoc",
-        args,
-        report.wall,
-        report.workers,
-        obs.as_ref(),
-        || {
-            run_mpsoc_sweep(&grid, &serial_options)
-                .map_err(|e| format!("serial baseline failed: {e}"))
-        },
-        |s| s.rows == report.rows,
-        |s| s.wall,
-        || beats_baseline(&MODULATED_GATE, gate_rows),
-        |tail| record("mpsoc", 2, header, tail, variants(rows)),
-    )
+    finish_modulation_mode("mpsoc", args, mode, header, |mode| {
+        run_mpsoc_sweep(
+            &grid,
+            &MpsocSweepOptions {
+                mode,
+                ..options.clone()
+            },
+        )
+    })
 }
 
 /// The fleet mode: several full-chip stacks co-optimized under one shared
@@ -1342,19 +1306,9 @@ fn main() -> ExitCode {
         grid.flux_scales.len(),
         grid.flow_scales.len(),
     );
-    println!(
-        "optimizer starts: {}",
-        if args.warm_start {
-            "warm (chained along the flow axis; --cold-start to disable)"
-        } else {
-            "cold (uniform-maximum baseline for every variant)"
-        }
-    );
-
     let mode = execution_mode(&args, available);
     let options = SweepOptions {
         config,
-        warm_start: args.warm_start,
         ..SweepOptions::fast(mode)
     };
 
@@ -1380,6 +1334,7 @@ fn main() -> ExitCode {
         ..options.clone()
     };
     // v2: adds the `counters` observability block.
+    // v3: drops `warm_start` (every run chains warm starts).
     let header = vec![grid_member(&[
         ("variants", grid.len()),
         ("loads", grid.loads.len()),
@@ -1412,14 +1367,12 @@ fn main() -> ExitCode {
         // The steady mode gates on determinism only.
         || None,
         |mut tail| {
-            // The steady record predates the shared tail: it reports the
-            // warm-start flag after the core count and its throughput
-            // right after the wall time.
-            tail.insert(2, ("warm_start", report.warm_start.into()));
+            // The steady record predates the shared tail: it reports its
+            // throughput right after the wall time.
             let throughput = Json::fixed(report.throughput_per_second(), 4);
-            tail.insert(5, ("throughput_variants_per_second", throughput));
-            tail.insert(6, ("total_evaluations", report.total_evaluations().into()));
-            record("sweep", 2, header, tail, variants(rows))
+            tail.insert(4, ("throughput_variants_per_second", throughput));
+            tail.insert(5, ("total_evaluations", report.total_evaluations().into()));
+            record("sweep", 3, header, tail, variants(rows))
         },
     )
 }

@@ -185,7 +185,7 @@ fn main() -> ExitCode {
     print_table(&table);
     println!("the models share the film-coefficient correlation but differ in");
     println!("dimensionality and discretization; percent-level agreement of the");
-    println!("temperature fields is the validation criterion (paper: 'validated");
+    println!("temperature fields is the validation test (paper: 'validated");
     println!("against 3D-ICE').");
     println!(
         "\nworst disagreement: {:.2}% of the temperature rise ({}); limit {MAX_ERR_PERCENT_OF_RISE}%",

@@ -51,8 +51,7 @@ pub use allocator::{
     StackSurrogate, SurrogateModel,
 };
 pub use report::{
-    evaluate_fleet_variant, run_fleet_sweep, FleetGrid, FleetReport, FleetRow, FleetSweepOptions,
-    FleetVariant,
+    run_fleet_sweep, FleetGrid, FleetReport, FleetRow, FleetSweepOptions, FleetVariant,
 };
 pub use shard::{
     run_fleet, FleetOptions, FleetOutcome, PredictiveDiagnostics, SegmentMetrics, StackRun,

@@ -316,27 +316,6 @@ fn build_row(variant: &FleetVariant, outcomes: &[FleetOutcome]) -> FleetRow {
     }
 }
 
-/// Evaluates one fleet variant: the same fleet and traces under all three
-/// budget policies, head-to-head.
-///
-/// The three policy runs are scheduled as one three-lane wavefront group
-/// — every segment's (policy × stack) tasks share one worker fan-out, and
-/// the policy-independent segment 0 runs once instead of three times. The
-/// resulting metrics are bitwise identical to three back-to-back
-/// [`run_fleet`](super::run_fleet) calls.
-///
-/// # Errors
-///
-/// Propagates fleet-run failures.
-pub fn evaluate_fleet_variant(
-    variant: &FleetVariant,
-    stacks: &[StackSpec],
-    options: &FleetSweepOptions,
-) -> Result<FleetRow> {
-    let outcomes = run_fleet_lanes(stacks, &variant_lanes(variant, stacks, options))?;
-    Ok(build_row(variant, &outcomes))
-}
-
 /// Runs every variant of `grid` under `options` and collects the report.
 ///
 /// The whole sweep is **one** wavefront group: every (variant × policy ×

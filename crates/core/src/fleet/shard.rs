@@ -499,13 +499,12 @@ pub(crate) fn run_stack_segment(
 }
 
 /// The wavefront scheduler — the one segmented fleet loop behind
-/// [`run_fleet`], [`super::report::evaluate_fleet_variant`],
-/// [`super::report::run_fleet_sweep`] and the faulted fleets of
-/// [`crate::faults`]: all lanes advance through reallocation segment `k`
-/// together, and every (lane × stack) task of wavefront `k` goes through
-/// **one** shared [`parallel_map`] fan-out, so worker threads drain the
-/// whole front instead of idling behind the slowest stack of a single
-/// fleet run.
+/// [`run_fleet`], [`super::report::run_fleet_sweep`] and the faulted
+/// fleets of [`crate::faults`]: all lanes advance through reallocation
+/// segment `k` together, and every (lane × stack) task of wavefront `k`
+/// goes through **one** shared [`parallel_map`] fan-out, so worker threads
+/// drain the whole front instead of idling behind the slowest stack of a
+/// single fleet run.
 ///
 /// Each lane's [`FaultPosture`] supplies the three places a faulted lane
 /// differs from a healthy one — its segment shares, each stack's

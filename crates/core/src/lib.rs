@@ -88,7 +88,7 @@ pub use fleet::{
     allocate, run_fleet, run_fleet_sweep, BudgetPolicy, FleetGrid, FleetOutcome, FleetReport,
     FleetRow, PumpBudget,
 };
-pub use mpsoc::{run_mpsoc_sweep, MpsocConfig, MpsocGrid, MpsocModulated, MpsocReport, MpsocRow};
+pub use mpsoc::{run_mpsoc_sweep, MpsocConfig, MpsocGrid, MpsocModulated};
 pub use obs::{ObsEvent, ObsReport, ObsSession, SpanRecord};
 pub use scenario::{mpsoc_model, strip_model, MpsocScenario};
 pub use serve::{
@@ -102,8 +102,8 @@ pub use sweep::{
 };
 pub use transient::{
     run_transient_sweep, CavityProfiles, EpochCandidate, EpochPolicy, ModulatedStack,
-    ModulationController, ModulationPolicy, ResumeState, StripModulated, TransientConfig,
-    TransientGrid, TransientOutcome, TransientReport, TransientRow, TransientSweepOptions,
+    ModulationController, ModulationPolicy, ModulationReport, ModulationRow, ResumeState,
+    StripModulated, TransientConfig, TransientGrid, TransientOutcome, TransientSweepOptions,
 };
 
 pub use liquamod_floorplan as floorplan;

@@ -34,6 +34,5 @@ mod sweep;
 pub use load::{arch_trace, zip_dies, MpsocLoad, MpsocTrace};
 pub use stack::{MpsocConfig, MpsocModulated};
 pub use sweep::{
-    evaluate_mpsoc_variant, run_mpsoc_sweep, ArchSpec, MpsocGrid, MpsocReport, MpsocRow,
-    MpsocSweepOptions, MpsocTraceSpec, MpsocVariant,
+    run_mpsoc_sweep, ArchSpec, MpsocGrid, MpsocSweepOptions, MpsocTraceSpec, MpsocVariant,
 };

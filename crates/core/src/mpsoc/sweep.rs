@@ -3,12 +3,11 @@
 
 use super::load::arch_trace;
 use super::stack::{MpsocConfig, MpsocModulated};
-use crate::sweep::{run_variant_sweep, ExecutionMode};
-use crate::transient::{EpochPolicy, ModulationPolicy};
-use crate::{CsvTable, Result};
+use crate::sweep::ExecutionMode;
+use crate::transient::{run_modulation_sweep, EpochPolicy, ModulationPolicy, ModulationReport};
+use crate::Result;
 use liquamod_floorplan::arch::{self, Architecture};
 use liquamod_floorplan::PowerLevel;
-use std::time::Duration;
 
 /// Which Fig. 7 architecture a sweep variant runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,132 +238,40 @@ impl MpsocSweepOptions {
     }
 }
 
-/// Metrics of one evaluated MPSoC variant: the modulated run against the
-/// frozen uniform-width baseline on the same trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MpsocRow {
-    /// The variant the metrics belong to.
-    pub variant: MpsocVariant,
-    /// Time-peak inter-layer gradient of the modulated run, kelvin.
-    pub peak_gradient_modulated_k: f64,
-    /// Time-peak inter-layer gradient of the frozen baseline, kelvin.
-    pub peak_gradient_frozen_k: f64,
-    /// Time-peak silicon temperature of the modulated run, kelvin.
-    pub peak_temperature_modulated_k: f64,
-    /// Gradient reduction vs the frozen baseline, as a signed fraction.
-    pub gradient_reduction: f64,
-    /// Modulation epochs the run fired.
-    pub epochs: usize,
-    /// Epochs whose candidate profile was adopted.
-    pub epochs_adopted: usize,
-    /// Objective evaluations spent across all epochs.
-    pub evaluations: usize,
-}
-
-/// The collected result of one MPSoC sweep invocation.
-#[derive(Debug, Clone)]
-pub struct MpsocReport {
-    /// One row per variant, in grid order.
-    pub rows: Vec<MpsocRow>,
-    /// Worker threads the run actually used.
-    pub workers: usize,
-    /// Wall-clock time of the evaluation phase.
-    pub wall: Duration,
-}
-
-impl MpsocReport {
-    /// Renders the report as the workspace's standard table format.
-    #[must_use]
-    pub fn to_table(&self) -> CsvTable {
-        let mut table = CsvTable::new(vec![
-            "variant",
-            "peak grad mod [K]",
-            "peak grad frozen [K]",
-            "reduction [%]",
-            "peak T mod [K]",
-            "epochs",
-            "adopted",
-            "evals",
-        ]);
-        for row in &self.rows {
-            table.push_row(vec![
-                row.variant.label(),
-                format!("{:.3}", row.peak_gradient_modulated_k),
-                format!("{:.3}", row.peak_gradient_frozen_k),
-                format!("{:.1}", row.gradient_reduction * 100.0),
-                format!("{:.2}", row.peak_temperature_modulated_k),
-                format!("{}", row.epochs),
-                format!("{}", row.epochs_adopted),
-                format!("{}", row.evaluations),
-            ]);
-        }
-        table
-    }
-}
-
-/// Evaluates one MPSoC variant: scale the flow, run the modulated loop and
-/// the frozen baseline on the same trace, and collect the row.
-///
-/// # Errors
-///
-/// Propagates controller failures.
-pub fn evaluate_mpsoc_variant(
-    variant: &MpsocVariant,
-    options: &MpsocSweepOptions,
-) -> Result<MpsocRow> {
-    let config = options.config.with_flow_scale(variant.flow_scale)?;
-    let architecture = variant.arch.architecture();
-    let trace = variant
-        .trace
-        .trace(&architecture, options.phase_seconds, config.nx, config.nz);
-    let modulated = MpsocModulated::for_arch(&architecture, config.clone())?
-        .controller(ModulationPolicy::Modulated(options.policy))?
-        .run(&trace)?;
-    let frozen = MpsocModulated::for_arch(&architecture, config)?
-        .controller(ModulationPolicy::FrozenUniform)?
-        .run(&trace)?;
-    let peak_mod = modulated.peak_gradient_k();
-    let peak_frozen = frozen.peak_gradient_k();
-    Ok(MpsocRow {
-        variant: variant.clone(),
-        peak_gradient_modulated_k: peak_mod,
-        peak_gradient_frozen_k: peak_frozen,
-        peak_temperature_modulated_k: modulated.peak_temperature_k(),
-        gradient_reduction: if peak_frozen > 0.0 {
-            (peak_frozen - peak_mod) / peak_frozen
-        } else {
-            0.0
-        },
-        epochs: modulated.epochs.len(),
-        epochs_adopted: modulated.epochs_adopted(),
-        evaluations: modulated.total_evaluations(),
-    })
-}
-
-/// Runs every variant of `grid` under `options` and collects the report.
+/// Runs every variant of `grid` under `options` and collects the report:
+/// per variant, the full-chip controller under `options.policy` against
+/// the frozen uniform-width baseline on the same trace, scheduled as two
+/// units by the modulated-vs-frozen engine it shares with
+/// [`crate::transient::run_transient_sweep`].
 ///
 /// Rows come back in grid order whatever the scheduling; parallel and
-/// serial runs of the same grid produce bitwise-identical rows (every
-/// variant is an independent scheduling unit — epoch warm starts chain only
-/// *within* a variant's run — and every family operation is a pure
-/// function with single-threaded finite differences).
+/// serial runs of the same grid produce bitwise-identical rows (each half
+/// is an independent scheduling unit — epoch warm starts chain only
+/// *within* one run — and every family operation is a pure function with
+/// single-threaded finite differences).
 ///
 /// # Errors
 ///
-/// Every variant is evaluated regardless of failures; the sweep then
-/// returns the first failure in grid order and discards the partial report.
-pub fn run_mpsoc_sweep(grid: &MpsocGrid, options: &MpsocSweepOptions) -> Result<MpsocReport> {
-    let (rows, workers, wall) = run_variant_sweep(
+/// Returns the first controller failure in (variant,
+/// modulated-before-frozen) order and discards the partial report.
+pub fn run_mpsoc_sweep(grid: &MpsocGrid, options: &MpsocSweepOptions) -> Result<ModulationReport> {
+    run_modulation_sweep(
         &grid.variants(),
         options.resolved_workers(),
+        ModulationPolicy::Modulated(options.policy),
         MpsocVariant::label,
-        |v| evaluate_mpsoc_variant(v, options),
-    )?;
-    Ok(MpsocReport {
-        rows,
-        workers,
-        wall,
-    })
+        |variant, policy| {
+            let config = options.config.with_flow_scale(variant.flow_scale)?;
+            let architecture = variant.arch.architecture();
+            let trace =
+                variant
+                    .trace
+                    .trace(&architecture, options.phase_seconds, config.nx, config.nz);
+            MpsocModulated::for_arch(&architecture, config)?
+                .controller(policy)?
+                .run(&trace)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -21,11 +21,10 @@
 //!   then flux scales, then flow scales) regardless of which worker
 //!   finished first.
 //! * **Warm-started chains** — within one (load, flux) block the optimizer
-//!   starts from the previous flow scale's optimum
-//!   ([`SweepOptions::warm_start`]; disable for the paper's cold-start
-//!   baseline), which typically converges in a fraction of the cold-start
-//!   evaluations while landing on the same optimum within the solver's
-//!   tolerances.
+//!   starts from the previous flow scale's optimum, which typically
+//!   converges in a fraction of the evaluations a cold start needs (the
+//!   paper starts every design from the uniformly-maximal widths) while
+//!   landing on the same optimum within the solver's tolerances.
 //!
 //! ```
 //! use liquamod::prelude::*;
@@ -237,12 +236,6 @@ pub struct SweepOptions {
     pub config: OptimizationConfig,
     /// Scheduling mode.
     pub mode: ExecutionMode,
-    /// Warm-start each variant's optimizer from the previous variant's
-    /// optimum along the grid's flow-scale axis (the innermost axis, so the
-    /// chained variants differ only in coolant flow and their optima are
-    /// close). `false` is the cold-start escape hatch: every variant starts
-    /// from the uniformly-maximal-width baseline, as in the paper.
-    pub warm_start: bool,
 }
 
 impl SweepOptions {
@@ -254,7 +247,6 @@ impl SweepOptions {
             params: ModelParams::date2012(),
             config: OptimizationConfig::fast(),
             mode,
-            warm_start: true,
         }
     }
 
@@ -317,8 +309,6 @@ pub struct SweepReport {
     pub workers: usize,
     /// Wall-clock time of the evaluation phase.
     pub wall: Duration,
-    /// Whether the run chained warm starts along the flow-scale axis.
-    pub warm_start: bool,
 }
 
 impl SweepReport {
@@ -372,26 +362,14 @@ impl SweepReport {
 }
 
 /// Evaluates one variant: perturb the parameters, build the strip model and
-/// run the full minimum/maximum/optimal comparison (cold start).
-///
-/// # Errors
-///
-/// Propagates model-construction and optimizer failures.
-pub fn evaluate_variant(
-    variant: &SweepVariant,
-    params: &ModelParams,
-    config: &OptimizationConfig,
-) -> Result<SweepRow> {
-    evaluate_variant_warm(variant, params, config, None).map(|(row, _)| row)
-}
-
-/// [`evaluate_variant`] with an optional optimizer warm start; also returns
+/// run the full minimum/maximum/optimal comparison, starting the optimizer
+/// from `start` (the uniformly-maximal widths when `None`). Also returns
 /// the normalized optimum for chaining into the next variant.
 ///
 /// # Errors
 ///
 /// Propagates model-construction and optimizer failures.
-fn evaluate_variant_warm(
+fn solve_variant(
     variant: &SweepVariant,
     params: &ModelParams,
     config: &OptimizationConfig,
@@ -429,19 +407,17 @@ fn evaluate_variant_warm(
 }
 
 /// Evaluates one flow-scale chain of variants in order, threading each
-/// optimum into the next variant's start when `warm_start` is set.
+/// optimum into the next variant's start.
 fn evaluate_chain(
     chain: &[SweepVariant],
     params: &ModelParams,
     config: &OptimizationConfig,
-    warm_start: bool,
 ) -> Vec<Result<SweepRow>> {
     let _span = obs::span("sweep.chain");
     let mut out = Vec::with_capacity(chain.len());
     let mut prev: Option<Vec<f64>> = None;
     for variant in chain {
-        let start = if warm_start { prev.as_deref() } else { None };
-        match evaluate_variant_warm(variant, params, config, start) {
+        match solve_variant(variant, params, config, prev.as_deref()) {
             Ok((row, x_opt)) => {
                 prev = Some(x_opt);
                 out.push(Ok(row));
@@ -463,8 +439,7 @@ fn evaluate_chain(
 /// scheduling is a whole flow-scale chain (the innermost-axis run of
 /// variants sharing a load and flux scale), evaluated sequentially on one
 /// worker, so each variant's starting point is independent of the execution
-/// mode. Cold-started sweeps have no inter-variant dependency, so each
-/// variant is scheduled individually.
+/// mode.
 ///
 /// # Errors
 ///
@@ -480,15 +455,8 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
         ..options.config.clone()
     };
     // Grid order is loads → flux → flow, so each chunk of `flow_scales.len()`
-    // consecutive variants is one flow-scale chain. Cold-started variants
-    // are independent, so each one is its own scheduling unit and the full
-    // per-variant parallelism is available.
-    let chain_len = if options.warm_start {
-        grid.flow_scales.len().max(1)
-    } else {
-        1
-    };
-    let chains: Vec<&[SweepVariant]> = variants.chunks(chain_len).collect();
+    // consecutive variants is one flow-scale chain.
+    let chains: Vec<&[SweepVariant]> = variants.chunks(grid.flow_scales.len().max(1)).collect();
     // A whole chain is the unit of scheduling, so more workers than chains
     // can never run; record the count that actually did.
     let workers = if chains.len() <= 1 {
@@ -503,8 +471,7 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
         c.first()
             .map_or_else(|| "empty chain".to_string(), |v| v.label())
     };
-    let eval =
-        |c: &&[SweepVariant]| evaluate_chain(c, &options.params, &config, options.warm_start);
+    let eval = |c: &&[SweepVariant]| evaluate_chain(c, &options.params, &config);
     let start = Instant::now();
     let chain_results: Vec<Vec<Result<SweepRow>>> =
         parallel_map(&chains, workers, chain_label, eval)?;
@@ -518,34 +485,7 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
         rows,
         workers,
         wall,
-        warm_start: options.warm_start,
     })
-}
-
-/// Shared scheduling wrapper of the independent-variant sweeps
-/// ([`crate::transient::run_transient_sweep`],
-/// [`crate::mpsoc::run_mpsoc_sweep`]; the steady [`run_sweep`] schedules
-/// whole warm-start chains instead): clamps the requested worker count to
-/// the variant count, times the evaluation, fans out through
-/// [`parallel_map`], and resolves to the rows — or the first failure in
-/// grid order, discarding the partial result. Returns
-/// `(rows, workers used, wall time)`.
-pub(crate) fn run_variant_sweep<V: Sync, R: Send>(
-    variants: &[V],
-    requested_workers: usize,
-    label: impl Fn(&V) -> String + Sync,
-    eval: impl Fn(&V) -> Result<R> + Sync,
-) -> Result<(Vec<R>, usize, Duration)> {
-    let workers = if variants.len() <= 1 {
-        1
-    } else {
-        requested_workers.max(1).min(variants.len())
-    };
-    let start = Instant::now();
-    let results: Vec<Result<R>> = parallel_map(variants, workers, label, eval)?;
-    let wall = start.elapsed();
-    let rows = results.into_iter().collect::<Result<Vec<_>>>()?;
-    Ok((rows, workers, wall))
 }
 
 /// Stringifies a worker panic payload — `panic!`/`assert!` carry `&str` or
@@ -807,19 +747,22 @@ mod tests {
             flux_scales: vec![1.0],
             flow_scales: vec![0.75, 1.0, 1.25],
         };
-        let warm = run_sweep(&grid, &tiny_options(ExecutionMode::Serial)).unwrap();
-        let cold = run_sweep(
-            &grid,
-            &SweepOptions {
-                warm_start: false,
-                ..tiny_options(ExecutionMode::Serial)
-            },
-        )
-        .unwrap();
-        assert!(warm.warm_start);
-        assert!(!cold.warm_start);
-        assert_eq!(warm.rows.len(), cold.rows.len());
-        for (w, c) in warm.rows.iter().zip(&cold.rows) {
+        let options = tiny_options(ExecutionMode::Serial);
+        let warm = run_sweep(&grid, &options).unwrap();
+        // The cold reference: every variant from the uniformly-maximal
+        // widths, under the same single-threaded configuration the sweep
+        // pins.
+        let config = OptimizationConfig {
+            fd_threads: 1,
+            ..options.config.clone()
+        };
+        let cold: Vec<SweepRow> = grid
+            .variants()
+            .iter()
+            .map(|v| solve_variant(v, &options.params, &config, None).unwrap().0)
+            .collect();
+        assert_eq!(warm.rows.len(), cold.len());
+        for (w, c) in warm.rows.iter().zip(&cold) {
             // Uniform baselines don't involve the optimizer at all.
             assert_eq!(w.gradient_min_k.to_bits(), c.gradient_min_k.to_bits());
             assert_eq!(w.gradient_max_k.to_bits(), c.gradient_max_k.to_bits());
@@ -833,11 +776,11 @@ mod tests {
             );
             assert_eq!(w.feasible, c.feasible, "{}", w.variant.label());
         }
+        let cold_evaluations: usize = cold.iter().map(|r| r.evaluations).sum();
         assert!(
-            warm.total_evaluations() <= cold.total_evaluations(),
-            "warm {} evals vs cold {}",
+            warm.total_evaluations() <= cold_evaluations,
+            "warm {} evals vs cold {cold_evaluations}",
             warm.total_evaluations(),
-            cold.total_evaluations()
         );
     }
 
@@ -890,13 +833,13 @@ mod tests {
             CoreError::WorkerPanicked { ref unit, .. } if unit == "unit 5"
         ));
         // The serial path degrades identically (parallel == serial).
-        let err = run_variant_sweep(
+        let err = parallel_map(
             &items,
             1,
             |&x| format!("unit {x}"),
-            |&x| -> Result<usize> {
+            |&x| {
                 assert!(x != 3, "serial failure");
-                Ok(x)
+                x
             },
         )
         .unwrap_err();

@@ -21,12 +21,11 @@
 //! The control loop, per time step of `Δt`:
 //!
 //! 1. look up the phase active during the upcoming step;
-//! 2. when the epoch policy fires (fixed cadence, phase boundary, or
-//!    gradient threshold), run the §IV optimizer on the phase's analytical
-//!    model and **adopt the candidate profile only if its steady-state
-//!    gradient does not exceed the incumbent's** — the controller never
-//!    trades into a worse design, which is also the invariant the property
-//!    tests pin down;
+//! 2. when the epoch policy fires (fixed cadence or phase boundary), run
+//!    the §IV optimizer on the phase's analytical model and **adopt the
+//!    candidate profile only if its steady-state gradient does not exceed
+//!    the incumbent's** — the controller never trades into a worse design,
+//!    which is also the invariant the property tests pin down;
 //! 3. rebuild the finite-volume stack if the widths or the power map
 //!    changed, handing the node temperatures over exactly
 //!    ([`liquamod_grid_sim::TransientStepper::set_state`]); rebuilds go
@@ -36,15 +35,18 @@
 //!
 //! [`run_transient_sweep`] fans whole scenarios (trace × flow-scale
 //! variants) across worker threads with the same determinism guarantee as
-//! [`crate::sweep`]: parallel and serial runs are bitwise identical, each
-//! variant being one scheduling unit evaluated by a pure function.
+//! [`crate::sweep`]: parallel and serial runs are bitwise identical. It and
+//! its full-chip twin [`crate::mpsoc::run_mpsoc_sweep`] share one
+//! modulated-vs-frozen engine, which schedules each variant's modulated run
+//! and frozen baseline as two units, each a pure function of the variant,
+//! and folds them into [`ModulationRow`]s.
 
 use crate::design::{optimize_resumed, DesignWarmStart, OptimizationConfig};
 use crate::faults::{DegradedEvent, DegradedKind, SegmentFaults, ValveMode};
 use crate::json::Json;
 use crate::obs;
 use crate::scenario::{strip_length, strip_model};
-use crate::sweep::{run_variant_sweep, ExecutionMode};
+use crate::sweep::{parallel_map, ExecutionMode};
 use crate::{bridge, CoreError, CsvTable, Result};
 use liquamod_floorplan::testcase::StripLoad;
 use liquamod_floorplan::trace::PowerTrace;
@@ -55,7 +57,7 @@ use liquamod_grid_sim::{
 };
 use liquamod_thermal_model::{ModelParams, SolveOptions, SolveWorkspace, WidthProfile};
 use liquamod_units::{Length, Power};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A time-varying strip workload (what the strip controller consumes).
 pub type StripTrace = PowerTrace<StripLoad>;
@@ -85,10 +87,11 @@ pub struct ResumeState {
     /// plus augmented-Lagrangian multipliers and penalty (warm start of the
     /// next epoch), when any epoch has been adopted yet.
     pub warm: Option<DesignWarmStart>,
-    /// The measured inter-layer gradient at the hand-over instant,
-    /// kelvin — seeds the next segment's
-    /// [`EpochPolicy::GradientThreshold`] reference so resuming does not
-    /// look like a rise from zero.
+    /// The measured inter-layer gradient at the hand-over instant, kelvin.
+    /// The controller itself never reads it back; it stays because the
+    /// serve pool allocates each batch's pump budget on it
+    /// ([`crate::serve::ServePool::drain_batch`]) and it is part of the
+    /// snapshot document.
     pub last_gradient_k: f64,
 }
 
@@ -396,17 +399,6 @@ pub enum EpochPolicy {
     /// traces exactly (no wasted epochs inside a phase, none missed at a
     /// migration).
     PhaseBoundary,
-    /// Re-optimize at step 0 and whenever the measured inter-layer gradient
-    /// has risen more than `rise_k` kelvin above its reference — the value
-    /// at the last epoch decision, ratcheted down to the smallest gradient
-    /// observed since (so a decay, e.g. an idle phase, re-arms the trigger
-    /// for the next excursion). The reactive policy for traces whose
-    /// thermal excursions, not phase labels, should drive re-optimization.
-    GradientThreshold {
-        /// Gradient rise (kelvin) that triggers a new epoch (must be finite
-        /// and ≥ 0).
-        rise_k: f64,
-    },
 }
 
 impl EpochPolicy {
@@ -420,13 +412,6 @@ impl EpochPolicy {
                 }
             }
             EpochPolicy::PhaseBoundary => {}
-            EpochPolicy::GradientThreshold { rise_k } => {
-                if !(rise_k.is_finite() && *rise_k >= 0.0) {
-                    return Err(CoreError::InvalidConfig {
-                        what: format!("rise_k must be finite and ≥ 0, got {rise_k}"),
-                    });
-                }
-            }
         }
         Ok(())
     }
@@ -437,19 +422,14 @@ impl EpochPolicy {
         match self {
             EpochPolicy::FixedCadence { epoch_steps } => n.is_multiple_of(*epoch_steps),
             EpochPolicy::PhaseBoundary => n == 0 || new_phase,
-            EpochPolicy::GradientThreshold { .. } => n == 0,
         }
     }
 
-    /// Whether an epoch fires mid-phase after the step to `n`, given the
-    /// latest measured gradient and the reference gradient (the smallest
-    /// gradient observed since the last decision — see
-    /// [`EpochContext::observe_gradient`]).
-    fn fires_inline(&self, n: usize, gradient_k: f64, ref_gradient_k: f64) -> bool {
+    /// Whether an epoch fires mid-phase after the step to `n`.
+    fn fires_inline(&self, n: usize) -> bool {
         match self {
             EpochPolicy::FixedCadence { epoch_steps } => n.is_multiple_of(*epoch_steps),
             EpochPolicy::PhaseBoundary => false,
-            EpochPolicy::GradientThreshold { rise_k } => gradient_k > ref_gradient_k + rise_k,
         }
     }
 }
@@ -724,7 +704,7 @@ impl ModulationController<StripModulated> {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] for a non-positive `dt`, a zero `nz`
-    /// or an invalid epoch policy (zero `epoch_steps`, negative `rise_k`).
+    /// or an invalid epoch policy (zero `epoch_steps`).
     pub fn new(config: TransientConfig, policy: ModulationPolicy) -> Result<Self> {
         let stepper = config.stepper.clone();
         Ok(Self::for_stack(
@@ -893,7 +873,6 @@ impl<S: ModulatedStack> ModulationController<S> {
             warm,
             epochs: Vec::new(),
             decided_at: None,
-            ref_gradient_k: resume_gradient_k,
             dt,
         };
         let mut snapshots: Vec<TransientSnapshot> = Vec::with_capacity(total_steps);
@@ -923,12 +902,7 @@ impl<S: ModulatedStack> ModulationController<S> {
                     && ctx.decided_at != Some(n)
                     && policy.fires_at_boundary(n, new_phase)
                 {
-                    // Before any step of a resumed segment, the live
-                    // gradient is the one handed over — not zero, or a
-                    // GradientThreshold reference seeded here would see
-                    // the hand-over temperature field as a full rise.
-                    let gradient_now = snapshots.last().map_or(resume_gradient_k, |s| s.gradient_k);
-                    match ctx.decide(n, &trace.phases()[phase].label, load, gradient_now) {
+                    match ctx.decide(n, &trace.phases()[phase].label, load) {
                         Ok(_) => {}
                         Err(e) if faults.tolerant => {
                             degraded.push(DegradedEvent::epoch_fallback(n as f64 * dt, &e));
@@ -1009,10 +983,8 @@ impl<S: ModulatedStack> ModulationController<S> {
                     // stuck valve an "adoption" still breaks out, but the
                     // rebuild reuses the frozen plant widths — identical
                     // stack, identical trajectory.)
-                    let gradient_now = snapshots.last().map_or(0.0, |s| s.gradient_k);
-                    ctx.observe_gradient(gradient_now);
-                    if policy.fires_inline(n, gradient_now, ctx.ref_gradient_k) {
-                        match ctx.decide(n, &trace.phases()[phase].label, load, gradient_now) {
+                    if policy.fires_inline(n) {
+                        match ctx.decide(n, &trace.phases()[phase].label, load) {
                             Ok(true) => break,
                             Ok(false) => {}
                             Err(e) if faults.tolerant => {
@@ -1077,39 +1049,18 @@ struct EpochContext<'a, S: ModulatedStack> {
     /// The step the last [`EpochContext::decide`] call ran at, so the run
     /// loop never decides twice at one step.
     decided_at: Option<usize>,
-    /// The [`EpochPolicy::GradientThreshold`] reference: the measured
-    /// gradient at the last decision, ratcheted down by
-    /// [`EpochContext::observe_gradient`] as the gradient decays.
-    ref_gradient_k: f64,
     dt: f64,
 }
 
 impl<S: ModulatedStack> EpochContext<'_, S> {
-    /// Ratchets the threshold reference down to the smallest gradient seen
-    /// since the last decision, so a decayed excursion (an idle phase, a
-    /// cooler workload) re-arms [`EpochPolicy::GradientThreshold`] instead
-    /// of leaving a stale high-water mark that later excursions can never
-    /// exceed.
-    fn observe_gradient(&mut self, gradient_k: f64) {
-        if gradient_k < self.ref_gradient_k {
-            self.ref_gradient_k = gradient_k;
-        }
-    }
     /// Runs one epoch's optimize-and-compare decision at step `n`,
     /// mutating the incumbent profiles on adoption. Returns whether the
     /// widths changed (the caller only rebuilds the stack then). An
     /// all-zero phase has nothing to balance (and a zero-cost starting
     /// point the optimizer rejects): it keeps the incumbent and records
     /// nothing.
-    fn decide(
-        &mut self,
-        n: usize,
-        phase_label: &str,
-        load: &S::Load,
-        gradient_now_k: f64,
-    ) -> Result<bool> {
+    fn decide(&mut self, n: usize, phase_label: &str, load: &S::Load) -> Result<bool> {
         self.decided_at = Some(n);
-        self.ref_gradient_k = gradient_now_k;
         if self.family.load_is_idle(load) {
             return Ok(false);
         }
@@ -1369,12 +1320,14 @@ impl TransientSweepOptions {
     }
 }
 
-/// Metrics of one evaluated transient variant: the modulated run against
-/// the frozen uniform-width baseline on the same trace.
+/// Metrics of one modulated-vs-frozen sweep variant: the modulated run
+/// against the frozen uniform-width baseline on the same trace. Both the
+/// strip sweep ([`run_transient_sweep`]) and the MPSoC sweep
+/// ([`crate::mpsoc::run_mpsoc_sweep`]) report these rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransientRow {
-    /// The variant the metrics belong to.
-    pub variant: TransientVariant,
+pub struct ModulationRow {
+    /// The variant's label, e.g. `testA-step*1.50 f*0.75`.
+    pub label: String,
     /// Time-peak inter-layer gradient of the modulated run, kelvin.
     pub peak_gradient_modulated_k: f64,
     /// Time-peak inter-layer gradient of the frozen baseline, kelvin.
@@ -1394,18 +1347,40 @@ pub struct TransientRow {
     pub evaluations: usize,
 }
 
-/// The collected result of one transient sweep invocation.
+impl ModulationRow {
+    /// Folds a variant's modulated run and frozen baseline into its row.
+    fn new(label: String, modulated: &TransientOutcome, frozen: &TransientOutcome) -> Self {
+        let peak_mod = modulated.peak_gradient_k();
+        let peak_frozen = frozen.peak_gradient_k();
+        Self {
+            label,
+            peak_gradient_modulated_k: peak_mod,
+            peak_gradient_frozen_k: peak_frozen,
+            peak_temperature_modulated_k: modulated.peak_temperature_k(),
+            gradient_reduction: if peak_frozen > 0.0 {
+                (peak_frozen - peak_mod) / peak_frozen
+            } else {
+                0.0
+            },
+            epochs: modulated.epochs.len(),
+            epochs_adopted: modulated.epochs_adopted(),
+            evaluations: modulated.total_evaluations(),
+        }
+    }
+}
+
+/// The collected result of one modulated-vs-frozen sweep invocation.
 #[derive(Debug, Clone)]
-pub struct TransientReport {
+pub struct ModulationReport {
     /// One row per variant, in grid order.
-    pub rows: Vec<TransientRow>,
+    pub rows: Vec<ModulationRow>,
     /// Worker threads the run actually used.
     pub workers: usize,
     /// Wall-clock time of the evaluation phase.
     pub wall: Duration,
 }
 
-impl TransientReport {
+impl ModulationReport {
     /// Renders the report as the workspace's standard table format.
     #[must_use]
     pub fn to_table(&self) -> CsvTable {
@@ -1421,7 +1396,7 @@ impl TransientReport {
         ]);
         for row in &self.rows {
             table.push_row(vec![
-                row.variant.label(),
+                row.label.clone(),
                 format!("{:.3}", row.peak_gradient_modulated_k),
                 format!("{:.3}", row.peak_gradient_frozen_k),
                 format!("{:.1}", row.gradient_reduction * 100.0),
@@ -1435,107 +1410,87 @@ impl TransientReport {
     }
 }
 
-/// Runs one half of a transient variant: the modulated loop when
-/// `modulated`, the frozen uniform-width baseline otherwise. The two
-/// halves share no state (epoch warm starts chain only *within* one
-/// controller run), which is what lets the sweep schedule them as
-/// independent units.
-fn run_transient_half(
-    variant: &TransientVariant,
-    options: &TransientSweepOptions,
-    modulated: bool,
-) -> Result<TransientOutcome> {
-    let config = options.config.with_flow_scale(variant.flow_scale)?;
-    let trace = variant.trace.trace(options.phase_seconds);
-    let policy = if modulated {
-        ModulationPolicy::every(options.epoch_steps)
-    } else {
-        ModulationPolicy::FrozenUniform
-    };
-    ModulationController::new(config, policy)?.run(&trace)
-}
-
-/// Folds a variant's modulated run and frozen baseline into its row.
-fn transient_row(
-    variant: &TransientVariant,
-    modulated: &TransientOutcome,
-    frozen: &TransientOutcome,
-) -> TransientRow {
-    let peak_mod = modulated.peak_gradient_k();
-    let peak_frozen = frozen.peak_gradient_k();
-    TransientRow {
-        variant: variant.clone(),
-        peak_gradient_modulated_k: peak_mod,
-        peak_gradient_frozen_k: peak_frozen,
-        peak_temperature_modulated_k: modulated.peak_temperature_k(),
-        gradient_reduction: if peak_frozen > 0.0 {
-            (peak_frozen - peak_mod) / peak_frozen
-        } else {
-            0.0
-        },
-        epochs: modulated.epochs.len(),
-        epochs_adopted: modulated.epochs_adopted(),
-        evaluations: modulated.total_evaluations(),
-    }
-}
-
-/// Evaluates one transient variant: scale the flow, run the modulated loop
-/// and the frozen baseline on the same trace, and collect the row.
+/// The one modulated-vs-frozen sweep engine behind [`run_transient_sweep`]
+/// and [`crate::mpsoc::run_mpsoc_sweep`].
 ///
-/// # Errors
-///
-/// Propagates controller failures.
-pub fn evaluate_transient_variant(
-    variant: &TransientVariant,
-    options: &TransientSweepOptions,
-) -> Result<TransientRow> {
-    let modulated = run_transient_half(variant, options, true)?;
-    let frozen = run_transient_half(variant, options, false)?;
-    Ok(transient_row(variant, &modulated, &frozen))
-}
-
-/// Runs every variant of `grid` under `options` and collects the report.
-///
-/// Each variant contributes **two** independent scheduling units — the
-/// modulated loop and the frozen baseline — so a grid of `n` variants
-/// fans `2n` units out across the workers instead of serializing each
-/// variant's pair behind one thread. Rows come back in grid order
-/// whatever the scheduling; parallel and serial runs of the same grid
-/// produce bitwise-identical rows (the halves are pure functions of the
-/// variant; epoch warm starts chain only *within* one controller run).
+/// Each variant contributes **two** independent scheduling units — the run
+/// under `modulated_policy` and the [`ModulationPolicy::FrozenUniform`]
+/// baseline, each produced by `run_half(variant, policy)` — so a grid of
+/// `n` variants fans `2n` units out through [`parallel_map`] instead of
+/// serializing each variant's pair behind one thread. The requested worker
+/// count is capped at the unit count. Rows come back in grid order
+/// whatever the scheduling; parallel and serial runs produce
+/// bitwise-identical rows, because each half is a pure function of its
+/// variant (epoch warm starts chain only *within* one controller run).
 ///
 /// # Errors
 ///
 /// Every unit is evaluated regardless of failures; the sweep then returns
 /// the first failure in (variant, modulated-before-frozen) order and
 /// discards the partial report.
-pub fn run_transient_sweep(
-    grid: &TransientGrid,
-    options: &TransientSweepOptions,
-) -> Result<TransientReport> {
-    let variants = grid.variants();
-    let units: Vec<(usize, bool)> = (0..variants.len())
-        .flat_map(|i| [(i, true), (i, false)])
+pub(crate) fn run_modulation_sweep<V: Sync>(
+    variants: &[V],
+    workers: usize,
+    modulated_policy: ModulationPolicy,
+    label: impl Fn(&V) -> String + Sync,
+    run_half: impl Fn(&V, ModulationPolicy) -> Result<TransientOutcome> + Sync,
+) -> Result<ModulationReport> {
+    let units: Vec<(&V, ModulationPolicy)> = variants
+        .iter()
+        .flat_map(|v| [(v, modulated_policy), (v, ModulationPolicy::FrozenUniform)])
         .collect();
-    let (outcomes, workers, wall) = run_variant_sweep(
-        &units,
-        options.resolved_workers(),
-        |&(i, modulated)| {
-            let half = if modulated { "modulated" } else { "frozen" };
-            format!("{} ({half})", variants[i].label())
-        },
-        |&(i, modulated)| run_transient_half(&variants[i], options, modulated),
-    )?;
+    let workers = workers.clamp(1, units.len().max(1));
+    let unit_label = |&(v, policy): &(&V, ModulationPolicy)| {
+        let half = match policy {
+            ModulationPolicy::FrozenUniform => "frozen",
+            ModulationPolicy::Modulated(_) => "modulated",
+        };
+        format!("{} ({half})", label(v))
+    };
+    let start = Instant::now();
+    let outcomes = parallel_map(&units, workers, unit_label, |&(v, policy)| {
+        run_half(v, policy)
+    })?;
+    let wall = start.elapsed();
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>>>()?;
     let rows = variants
         .iter()
         .zip(outcomes.chunks_exact(2))
-        .map(|(variant, pair)| transient_row(variant, &pair[0], &pair[1]))
+        .map(|(v, pair)| ModulationRow::new(label(v), &pair[0], &pair[1]))
         .collect();
-    Ok(TransientReport {
+    Ok(ModulationReport {
         rows,
         workers,
         wall,
     })
+}
+
+/// Runs every variant of `grid` under `options` and collects the report:
+/// per variant, the strip controller at a fixed epoch cadence against the
+/// frozen uniform-width baseline on the same trace, scheduled as two units
+/// by the shared modulated-vs-frozen engine (see
+/// [`crate::mpsoc::run_mpsoc_sweep`] for its full-chip twin). Parallel and
+/// serial runs of the same grid produce bitwise-identical rows.
+///
+/// # Errors
+///
+/// Returns the first controller failure in (variant,
+/// modulated-before-frozen) order and discards the partial report.
+pub fn run_transient_sweep(
+    grid: &TransientGrid,
+    options: &TransientSweepOptions,
+) -> Result<ModulationReport> {
+    run_modulation_sweep(
+        &grid.variants(),
+        options.resolved_workers(),
+        ModulationPolicy::every(options.epoch_steps),
+        TransientVariant::label,
+        |variant, policy| {
+            let config = options.config.with_flow_scale(variant.flow_scale)?;
+            let trace = variant.trace.trace(options.phase_seconds);
+            ModulationController::new(config, policy)?.run(&trace)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1576,16 +1531,6 @@ mod tests {
         )
         .is_err());
         assert!(ModulationController::new(tiny_config(), ModulationPolicy::every(0)).is_err());
-        assert!(ModulationController::new(
-            tiny_config(),
-            ModulationPolicy::Modulated(EpochPolicy::GradientThreshold { rise_k: -1.0 })
-        )
-        .is_err());
-        assert!(ModulationController::new(
-            tiny_config(),
-            ModulationPolicy::Modulated(EpochPolicy::GradientThreshold { rise_k: f64::NAN })
-        )
-        .is_err());
         let c = ModulationController::new(tiny_config(), ModulationPolicy::every(4)).unwrap();
         assert_eq!(
             c.policy(),
@@ -1739,130 +1684,6 @@ mod tests {
         for (e, p) in outcome.epochs.iter().zip(trace.phases()) {
             assert_eq!(e.phase, p.label);
         }
-    }
-
-    #[test]
-    fn gradient_threshold_policy_reacts_to_warmup() {
-        let config = tiny_config();
-        let dt = config.dt_seconds;
-        let trace = trace::test_a_step(10.0 * dt, 2.0);
-        // Tight threshold: the step-response warm-up rises by several kelvin,
-        // so the trigger must fire at least once after step 0; a huge
-        // threshold must never re-fire.
-        let run = |rise_k: f64| {
-            ModulationController::new(
-                config.clone(),
-                ModulationPolicy::Modulated(EpochPolicy::GradientThreshold { rise_k }),
-            )
-            .unwrap()
-            .run(&trace)
-            .unwrap()
-        };
-        let tight = run(0.5);
-        assert_eq!(tight.epochs[0].step, 0);
-        assert!(
-            tight.epochs.len() > 1,
-            "warm-up must re-trigger: {:?}",
-            tight.epochs.iter().map(|e| e.step).collect::<Vec<_>>()
-        );
-        let loose = run(1e6);
-        assert_eq!(
-            loose.epochs.iter().map(|e| e.step).collect::<Vec<_>>(),
-            vec![0],
-            "a huge threshold fires only the mandatory step-0 epoch"
-        );
-    }
-
-    #[test]
-    fn gradient_threshold_rearms_after_a_decay() {
-        // Peak → idle → peak: the idle phase decays the gradient, so the
-        // ratcheted reference must re-arm the trigger and the second peak
-        // excursion must fire fresh epochs (a stale high-water mark from
-        // the first peak would silence the policy for the rest of the run).
-        let config = tiny_config();
-        let dt = config.dt_seconds;
-        let idle = StripLoad {
-            name: "idle".into(),
-            top_w_cm2: vec![0.0],
-            bottom_w_cm2: vec![0.0],
-        };
-        let phase = |label: &str, load: StripLoad| liquamod_floorplan::trace::Phase {
-            label: label.into(),
-            duration_seconds: 8.0 * dt,
-            load,
-        };
-        let trace = StripTrace::new(vec![
-            phase("hot", testcase::test_a()),
-            phase("idle", idle),
-            phase("hot-again", testcase::test_a()),
-        ])
-        .unwrap();
-        let outcome = ModulationController::new(
-            config,
-            ModulationPolicy::Modulated(EpochPolicy::GradientThreshold { rise_k: 1.0 }),
-        )
-        .unwrap()
-        .run(&trace)
-        .unwrap();
-        assert!(
-            outcome.epochs.iter().any(|e| e.step >= 16),
-            "the post-idle excursion must re-trigger: epochs at {:?}",
-            outcome.epochs.iter().map(|e| e.step).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn resumed_segment_carries_the_gradient_threshold_reference() {
-        // Warm a Test-A strip up for a whole segment, then resume: the
-        // hand-over gradient seeds the threshold reference, so the resumed
-        // segment must not treat the warm stack as a rise from zero and
-        // fire a spurious inline epoch right after its boundary decision
-        // (step 1 would be the bug's signature — one step of residual
-        // warm-up is far below the 2 K threshold).
-        let config = tiny_config();
-        let dt = config.dt_seconds;
-        let controller = ModulationController::new(
-            config,
-            ModulationPolicy::Modulated(EpochPolicy::GradientThreshold { rise_k: 2.0 }),
-        )
-        .unwrap();
-        let segment = |label: &str, steps: f64| {
-            StripTrace::new(vec![liquamod_floorplan::trace::Phase {
-                label: label.into(),
-                duration_seconds: steps * dt,
-                load: testcase::test_a(),
-            }])
-            .unwrap()
-        };
-        let (_, resume) = controller
-            .run_segment(
-                &segment("warmup", 24.0),
-                None,
-                &SegmentFaults::default(),
-                None,
-            )
-            .unwrap();
-        assert!(
-            resume.last_gradient_k > 2.0,
-            "warm-up must build a gradient"
-        );
-        let (second, handover) = controller
-            .run_segment(
-                &segment("steady", 12.0),
-                Some(resume),
-                &SegmentFaults::default(),
-                None,
-            )
-            .unwrap();
-        let steps: Vec<usize> = second.epochs.iter().map(|e| e.step).collect();
-        assert!(
-            !steps.contains(&1),
-            "spurious epoch right after the boundary: {steps:?}"
-        );
-        assert_eq!(
-            handover.last_gradient_k.to_bits(),
-            second.snapshots.last().unwrap().gradient_k.to_bits()
-        );
     }
 
     #[test]

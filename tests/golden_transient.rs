@@ -33,8 +33,8 @@ use liquamod::mpsoc::{
 };
 use liquamod::thermal_model::ModelParams;
 use liquamod::transient::{
-    run_transient_sweep, EpochPolicy, ModulationController, ModulationPolicy, StripTrace,
-    TraceSpec, TransientConfig, TransientGrid, TransientOutcome, TransientSweepOptions,
+    run_transient_sweep, EpochPolicy, ModulationController, ModulationPolicy, ModulationRow,
+    StripTrace, TraceSpec, TransientConfig, TransientGrid, TransientOutcome, TransientSweepOptions,
 };
 use liquamod::{
     experiments, optimize_min_pumping, optimize_resumed, strip_model, DesignOutcome, ExecutionMode,
@@ -299,28 +299,26 @@ fn golden_mpsoc_arch1_niagara_run() {
 }
 
 /// One modulated-vs-frozen sweep row as a fixture member.
-macro_rules! modulation_row {
-    ($row:expr) => {
-        Json::object([
-            ("label", Json::from($row.variant.label())),
-            (
-                "peak_gradient_modulated_k",
-                Json::from($row.peak_gradient_modulated_k),
-            ),
-            (
-                "peak_gradient_frozen_k",
-                Json::from($row.peak_gradient_frozen_k),
-            ),
-            (
-                "peak_temperature_modulated_k",
-                Json::from($row.peak_temperature_modulated_k),
-            ),
-            ("gradient_reduction", Json::from($row.gradient_reduction)),
-            ("epochs", Json::from($row.epochs)),
-            ("epochs_adopted", Json::from($row.epochs_adopted)),
-            ("evaluations", Json::from($row.evaluations)),
-        ])
-    };
+fn modulation_row(row: &ModulationRow) -> Json {
+    Json::object([
+        ("label", Json::from(row.label.as_str())),
+        (
+            "peak_gradient_modulated_k",
+            Json::from(row.peak_gradient_modulated_k),
+        ),
+        (
+            "peak_gradient_frozen_k",
+            Json::from(row.peak_gradient_frozen_k),
+        ),
+        (
+            "peak_temperature_modulated_k",
+            Json::from(row.peak_temperature_modulated_k),
+        ),
+        ("gradient_reduction", Json::from(row.gradient_reduction)),
+        ("epochs", Json::from(row.epochs)),
+        ("epochs_adopted", Json::from(row.epochs_adopted)),
+        ("evaluations", Json::from(row.evaluations)),
+    ])
 }
 
 /// The two modulated-vs-frozen sweeps, run serially on the grids and
@@ -379,11 +377,11 @@ fn golden_modulation_sweeps() {
         ("scenario", Json::from("modulation_sweeps")),
         (
             "transient",
-            Json::Array(strip.rows.iter().map(|r| modulation_row!(r)).collect()),
+            Json::Array(strip.rows.iter().map(modulation_row).collect()),
         ),
         (
             "mpsoc",
-            Json::Array(mpsoc.rows.iter().map(|r| modulation_row!(r)).collect()),
+            Json::Array(mpsoc.rows.iter().map(modulation_row).collect()),
         ),
     ])
     .to_document();
@@ -502,7 +500,8 @@ fn bench_records_declare_schema_version() {
     // added the predictive (one-step-MPC) policy column: per-variant
     // `worst_gradient_predictive_k`, `predictive_margin` and the surrogate
     // diagnostics CI's predictive-vs-waterfill gate reads; v6 dropped the
-    // greedy policy's columns.
+    // greedy policy's columns. BENCH_sweep.json is at v3: it dropped the
+    // `warm_start` flag once every steady sweep chained warm starts.
     let read = |name: &str| {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name);
         let text = std::fs::read_to_string(&path)
@@ -510,7 +509,7 @@ fn bench_records_declare_schema_version() {
         Json::parse(&text).unwrap_or_else(|e| panic!("{name} is not strict JSON: {e}"))
     };
     for (name, version) in [
-        ("BENCH_sweep.json", 2),
+        ("BENCH_sweep.json", 3),
         ("BENCH_transient.json", 2),
         ("BENCH_mpsoc.json", 2),
         ("BENCH_fleet.json", 6),

@@ -1,6 +1,5 @@
 //! Ablation assertions: each modeling alternative must shift the results in
-//! the physically expected direction (the Criterion `ablations` bench times
-//! the same alternatives).
+//! the physically expected direction.
 
 use liquamod::microfluidics::{friction::FrictionModel, nusselt::NusseltCorrelation};
 use liquamod::prelude::*;

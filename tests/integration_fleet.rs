@@ -303,7 +303,7 @@ proptest! {
     }
 }
 
-/// The PR's acceptance criterion at test scale: on a heterogeneous fleet
+/// The fleet acceptance test at test scale: on a heterogeneous fleet
 /// under an under-provisioned shared pump, gradient water-filling strictly
 /// beats the uniform split on the worst stack's time-peak gradient, and
 /// the allocator visibly steers flow toward the hotter stacks.
@@ -539,6 +539,13 @@ fn segmented_resume_matches_one_shot_run_bitwise() {
                 None,
             )
             .unwrap();
+        // The hand-over carries the segment's last measured gradient,
+        // bitwise (the serve pool allocates the next batch on it).
+        assert_eq!(
+            next.last_gradient_k.to_bits(),
+            outcome.snapshots.last().unwrap().gradient_k.to_bits(),
+            "segment {seg}"
+        );
         outcomes.push(outcome);
         resume = Some(next);
     }

@@ -28,7 +28,7 @@ fn small_config() -> MpsocConfig {
     }
 }
 
-/// The PR's acceptance criterion scaled to the full-chip stacks: an Arch. 1
+/// The headline acceptance test scaled to the full-chip stacks: an Arch. 1
 /// average→peak Niagara burst with modulation enabled reports a strictly
 /// lower time-peak inter-layer gradient than the frozen uniform-width
 /// design.
@@ -139,13 +139,13 @@ fn mpsoc_sweep_parallel_matches_serial_bitwise() {
             },
         )
         .unwrap();
-        // PartialEq on MpsocRow compares every f64 exactly.
+        // PartialEq on ModulationRow compares every f64 exactly.
         assert_eq!(serial.rows, parallel.rows, "workers = {workers}");
         assert_eq!(parallel.workers, workers.min(grid.len()));
     }
     // Rows come back in grid order; this deliberately short run (12 steps,
     // far from steady state) checks determinism, not the headline win.
-    let labels: Vec<String> = serial.rows.iter().map(|r| r.variant.label()).collect();
+    let labels: Vec<String> = serial.rows.iter().map(|r| r.label.clone()).collect();
     let expected: Vec<String> = grid.variants().iter().map(|v| v.label()).collect();
     assert_eq!(labels, expected);
     for row in &serial.rows {

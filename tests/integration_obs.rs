@@ -269,6 +269,42 @@ fn deterministic_exports_match_across_worker_counts() {
             .flat_map(|s| s.schedule(horizon, 2, 3).events)
             .collect(),
     };
+    // The two modulated-vs-frozen sweeps schedule each variant as a
+    // modulated unit and a frozen unit; one variant each keeps the test
+    // quick while still splitting work across workers.
+    let mpsoc_grid = MpsocGrid {
+        archs: vec![ArchSpec::Arch1],
+        traces: vec![MpsocTraceSpec::avg_to_peak()],
+        flow_scales: vec![1.0],
+    };
+    let mpsoc_options = |mode| {
+        let config = small_config();
+        MpsocSweepOptions {
+            policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
+            phase_seconds: 6.0 * config.dt_seconds,
+            config,
+            mode,
+        }
+    };
+    let strip_grid = TransientGrid {
+        traces: vec![TraceSpec::TestAStep { high_scale: 1.5 }],
+        flow_scales: vec![1.0],
+    };
+    let strip_config = TransientConfig {
+        optimizer: OptimizationConfig {
+            segments: 2,
+            mesh_intervals: 32,
+            ..OptimizationConfig::fast()
+        },
+        nz: 20,
+        ..TransientConfig::fast()
+    };
+    let strip_options = |mode| TransientSweepOptions {
+        phase_seconds: 8.0 * strip_config.dt_seconds,
+        epoch_steps: 4,
+        config: strip_config.clone(),
+        mode,
+    };
     let run = |mode: ExecutionMode| {
         let session = ObsSession::start();
         let report = run_fleet_sweep(&grid, &fleet_sweep_options(mode)).unwrap();
@@ -277,7 +313,12 @@ fn deterministic_exports_match_across_worker_counts() {
             ..faulted_options.clone()
         };
         let faulted = run_faulted_fleet(&two_stacks(), &options, &schedule, true).unwrap();
-        ((report.rows, faulted), session.finish())
+        let mpsoc = run_mpsoc_sweep(&mpsoc_grid, &mpsoc_options(mode)).unwrap();
+        let strip = run_transient_sweep(&strip_grid, &strip_options(mode)).unwrap();
+        (
+            (report.rows, faulted, mpsoc.rows, strip.rows),
+            session.finish(),
+        )
     };
     let (rows_1, obs_1) = run(ExecutionMode::Serial);
     assert!(!obs_1.events.is_empty(), "the faulted run records events");

@@ -40,7 +40,7 @@ fn tiny_config() -> TransientConfig {
     }
 }
 
-/// The PR's acceptance criterion: a transient Test-B run with modulation
+/// The headline acceptance test: a transient Test-B run with modulation
 /// enabled reports a strictly lower time-peak inter-layer gradient than the
 /// same run with a frozen uniform-width design.
 #[test]
@@ -114,12 +114,12 @@ fn transient_sweep_parallel_matches_serial_bitwise() {
             },
         )
         .unwrap();
-        // PartialEq on TransientRow compares every f64 exactly.
+        // PartialEq on ModulationRow compares every f64 exactly.
         assert_eq!(serial.rows, parallel.rows, "workers = {workers}");
         assert_eq!(parallel.workers, workers.min(grid.len()));
     }
     // Rows come back in grid order and every variant improved on frozen.
-    let labels: Vec<String> = serial.rows.iter().map(|r| r.variant.label()).collect();
+    let labels: Vec<String> = serial.rows.iter().map(|r| r.label.clone()).collect();
     let expected: Vec<String> = grid.variants().iter().map(|v| v.label()).collect();
     assert_eq!(labels, expected);
     for row in &serial.rows {
