@@ -47,7 +47,7 @@
 //! Run with: `cargo run --release -p bench --bin sweep [-- transient|mpsoc|fleet|faults|serve]`
 //!
 //! Options: `sweep --help` prints them (`print_help` is the one list;
-//! CI smoke fails when README.md's flag table lists other flags). `--json`,
+//! CI smoke checks README.md's flag table against it). `--json`,
 //! `--trace` and `--counters` write the perf record, the Chrome trace and
 //! the deterministic JSONL log, all through `liquamod::json`;
 //! `LIQUAMOD_FAST=1` selects the coarse CI settings.

@@ -230,8 +230,8 @@ impl MpsocSweepOptions {
         }
     }
 
-    /// The worker count this sweep will request (capped at the variant
-    /// count when the sweep runs).
+    /// The worker count this sweep will request (capped at the unit
+    /// count, two per variant, when the sweep runs).
     #[must_use]
     pub fn resolved_workers(&self) -> usize {
         self.mode.resolved_workers()
