@@ -75,6 +75,49 @@ fn fleet_sweep_options(mode: ExecutionMode) -> FleetSweepOptions {
     }
 }
 
+/// A one-variant strip sweep: a Test-A burst at nominal flow, 8-step
+/// phases with an epoch every 4 steps.
+fn strip_sweep(mode: ExecutionMode) -> (TransientGrid, TransientSweepOptions) {
+    let config = TransientConfig {
+        optimizer: OptimizationConfig {
+            segments: 2,
+            mesh_intervals: 32,
+            ..OptimizationConfig::fast()
+        },
+        nz: 20,
+        ..TransientConfig::fast()
+    };
+    let grid = TransientGrid {
+        traces: vec![TraceSpec::TestAStep { high_scale: 1.5 }],
+        flow_scales: vec![1.0],
+    };
+    let options = TransientSweepOptions {
+        phase_seconds: 8.0 * config.dt_seconds,
+        epoch_steps: 4,
+        config,
+        mode,
+    };
+    (grid, options)
+}
+
+/// A one-variant MPSoC sweep: Arch. 1 through the average→peak burst at
+/// nominal flow, 6-step phases with an epoch every 6 steps.
+fn mpsoc_sweep(mode: ExecutionMode) -> (MpsocGrid, MpsocSweepOptions) {
+    let config = small_config();
+    let grid = MpsocGrid {
+        archs: vec![ArchSpec::Arch1],
+        traces: vec![MpsocTraceSpec::avg_to_peak()],
+        flow_scales: vec![1.0],
+    };
+    let options = MpsocSweepOptions {
+        policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
+        phase_seconds: 6.0 * config.dt_seconds,
+        config,
+        mode,
+    };
+    (grid, options)
+}
+
 fn parallel(workers: usize) -> ExecutionMode {
     ExecutionMode::Parallel {
         workers: NonZeroUsize::new(workers),
@@ -103,25 +146,7 @@ fn steady_sweep_rows_are_identical_with_a_session_active() {
 
 #[test]
 fn transient_sweep_rows_are_identical_with_a_session_active() {
-    let grid = TransientGrid {
-        traces: vec![TraceSpec::TestAStep { high_scale: 1.5 }],
-        flow_scales: vec![1.0],
-    };
-    let config = TransientConfig {
-        optimizer: OptimizationConfig {
-            segments: 2,
-            mesh_intervals: 32,
-            ..OptimizationConfig::fast()
-        },
-        nz: 20,
-        ..TransientConfig::fast()
-    };
-    let options = TransientSweepOptions {
-        phase_seconds: 8.0 * config.dt_seconds,
-        epoch_steps: 4,
-        config,
-        mode: parallel(2),
-    };
+    let (grid, options) = strip_sweep(parallel(2));
     let bare = run_transient_sweep(&grid, &options).unwrap();
     let session = ObsSession::start();
     let observed = run_transient_sweep(&grid, &options).unwrap();
@@ -132,18 +157,7 @@ fn transient_sweep_rows_are_identical_with_a_session_active() {
 
 #[test]
 fn mpsoc_sweep_rows_are_identical_with_a_session_active() {
-    let grid = MpsocGrid {
-        archs: vec![ArchSpec::Arch1],
-        traces: vec![MpsocTraceSpec::avg_to_peak()],
-        flow_scales: vec![1.0],
-    };
-    let config = small_config();
-    let options = MpsocSweepOptions {
-        policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
-        phase_seconds: 6.0 * config.dt_seconds,
-        config,
-        mode: parallel(2),
-    };
+    let (grid, options) = mpsoc_sweep(parallel(2));
     let bare = run_mpsoc_sweep(&grid, &options).unwrap();
     let session = ObsSession::start();
     let observed = run_mpsoc_sweep(&grid, &options).unwrap();
@@ -269,42 +283,6 @@ fn deterministic_exports_match_across_worker_counts() {
             .flat_map(|s| s.schedule(horizon, 2, 3).events)
             .collect(),
     };
-    // The two modulated-vs-frozen sweeps schedule each variant as a
-    // modulated unit and a frozen unit; one variant each keeps the test
-    // quick while still splitting work across workers.
-    let mpsoc_grid = MpsocGrid {
-        archs: vec![ArchSpec::Arch1],
-        traces: vec![MpsocTraceSpec::avg_to_peak()],
-        flow_scales: vec![1.0],
-    };
-    let mpsoc_options = |mode| {
-        let config = small_config();
-        MpsocSweepOptions {
-            policy: EpochPolicy::FixedCadence { epoch_steps: 6 },
-            phase_seconds: 6.0 * config.dt_seconds,
-            config,
-            mode,
-        }
-    };
-    let strip_grid = TransientGrid {
-        traces: vec![TraceSpec::TestAStep { high_scale: 1.5 }],
-        flow_scales: vec![1.0],
-    };
-    let strip_config = TransientConfig {
-        optimizer: OptimizationConfig {
-            segments: 2,
-            mesh_intervals: 32,
-            ..OptimizationConfig::fast()
-        },
-        nz: 20,
-        ..TransientConfig::fast()
-    };
-    let strip_options = |mode| TransientSweepOptions {
-        phase_seconds: 8.0 * strip_config.dt_seconds,
-        epoch_steps: 4,
-        config: strip_config.clone(),
-        mode,
-    };
     let run = |mode: ExecutionMode| {
         let session = ObsSession::start();
         let report = run_fleet_sweep(&grid, &fleet_sweep_options(mode)).unwrap();
@@ -313,8 +291,13 @@ fn deterministic_exports_match_across_worker_counts() {
             ..faulted_options.clone()
         };
         let faulted = run_faulted_fleet(&two_stacks(), &options, &schedule, true).unwrap();
-        let mpsoc = run_mpsoc_sweep(&mpsoc_grid, &mpsoc_options(mode)).unwrap();
-        let strip = run_transient_sweep(&strip_grid, &strip_options(mode)).unwrap();
+        // The modulated-vs-frozen sweeps schedule each variant as a
+        // modulated unit and a frozen unit, so even one variant splits
+        // across workers.
+        let (mpsoc_grid, mpsoc_options) = mpsoc_sweep(mode);
+        let mpsoc = run_mpsoc_sweep(&mpsoc_grid, &mpsoc_options).unwrap();
+        let (strip_grid, strip_options) = strip_sweep(mode);
+        let strip = run_transient_sweep(&strip_grid, &strip_options).unwrap();
         (
             (report.rows, faulted, mpsoc.rows, strip.rows),
             session.finish(),
