@@ -25,7 +25,10 @@
 use liquamod::prelude::*;
 
 /// Optimization configuration selected by the `LIQUAMOD_FAST` environment
-/// variable: the publication-quality default, or the coarse fast mode.
+/// variable: [`OptimizationConfig::fast`] (8 segments on 96 mesh
+/// intervals) in fast mode, otherwise the same configuration refined to
+/// 12 segments on 256 intervals. Both run the optimizer's one fixed solver
+/// schedule; only the control and mesh resolution differ.
 pub fn config_from_env() -> OptimizationConfig {
     if fast_mode() {
         OptimizationConfig::fast()

@@ -78,15 +78,23 @@ impl DesignComparison {
         config: &OptimizationConfig,
         start: Option<&[f64]>,
     ) -> Result<Self> {
+        let outcome = optimize_warm(model, config, start)?;
+        Self::score(model, config.mesh_intervals, outcome)
+    }
+
+    /// Scores `outcome` against the uniformly-minimum and uniformly-maximum
+    /// width baselines of `model`, each solved on `mesh_intervals`.
+    pub(crate) fn score(
+        model: &Model,
+        mesh_intervals: usize,
+        outcome: DesignOutcome,
+    ) -> Result<Self> {
         // The two uniform baselines share one solve workspace; the width
         // ranges are plain `Copy` fields, so no ModelParams clone is needed.
         let (w_min, w_max) = (model.params().w_min, model.params().w_max);
         let mut ws = SolveWorkspace::new();
-        let (min_model, min_solution) =
-            solve_uniform(model, w_min, config.mesh_intervals, &mut ws)?;
-        let (max_model, max_solution) =
-            solve_uniform(model, w_max, config.mesh_intervals, &mut ws)?;
-        let outcome = optimize_warm(model, config, start)?;
+        let (min_model, min_solution) = solve_uniform(model, w_min, mesh_intervals, &mut ws)?;
+        let (max_model, max_solution) = solve_uniform(model, w_max, mesh_intervals, &mut ws)?;
         Ok(Self {
             minimum: CaseResult::evaluate("minimum", &min_model, &min_solution)?,
             maximum: CaseResult::evaluate("maximum", &max_model, &max_solution)?,

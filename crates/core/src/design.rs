@@ -20,23 +20,29 @@ use liquamod_thermal_model::{
 };
 use liquamod_units::{Length, Pressure};
 
-/// Which cost integral to minimize (the paper notes the two are equivalent
-/// through the conduction law `dT/dz = −q/ĝ_l`; both are provided for the
-/// ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ObjectiveKind {
-    /// `∫ ‖dT/dz‖² dz` — the paper's Eq. (7).
-    #[default]
-    GradientSquared,
-    /// `∫ ‖q‖² dz` — the heat-flow form suggested in §IV-A.
-    HeatflowSquared,
-}
+/// Outer-iteration cap of a cold solve.
+const OUTER_ITERATIONS: usize = 4;
+
+/// Inner (L-BFGS) iteration cap of each outer iteration of a cold solve.
+const INNER_ITERATIONS: usize = 25;
+
+/// Constraint-violation target of the normalized pressure constraints.
+const VIOLATION_TOL: f64 = 1e-3;
+
+/// Initial augmented-Lagrangian penalty `μ`.
+const INITIAL_PENALTY: f64 = 10.0;
+
+/// Projected-gradient stationarity at which an inner solve stops.
+const STATIONARITY_TOL: f64 = 1e-6;
+
+/// Per-iteration relative improvement below which an inner solve stops.
+const IMPROVEMENT_TOL: f64 = 1e-7;
 
 /// Inner-iteration cap for *resumed* solves ([`optimize_resumed`] with
 /// dual state): a resumed epoch starts at the previous optimum with
 /// converged multipliers, so after the first few refinement iterations the
 /// remaining budget only polishes finite-difference noise. Cold solves (and
-/// plain [`optimize_warm`]) are never capped by this.
+/// plain [`optimize_warm`]) run [`INNER_ITERATIONS`].
 const RESUME_INNER_ITERATIONS: usize = 8;
 
 /// Outer-iteration cap for *resumed* solves, the dual-side twin of
@@ -46,73 +52,38 @@ const RESUME_INNER_ITERATIONS: usize = 8;
 /// the multiplier updates still accumulate *across* epochs because the
 /// controller carries the dual state forward, and the
 /// adopt-only-if-not-worse rule discards any correction that converged too
-/// little to help. Cold solves are never capped.
+/// little to help. Cold solves run [`OUTER_ITERATIONS`].
 const RESUME_OUTER_ITERATIONS: usize = 1;
 
-/// Configuration of one design-flow run.
+/// Configuration of one design-flow run: the control and mesh resolution
+/// and the finite-difference worker count.
 ///
-/// Every run minimizes with the augmented Lagrangian over projected L-BFGS;
-/// the paper's Eq. (10) equal-pressure coupling applies whenever the model
-/// has two or more columns.
+/// Every run minimizes the paper's Eq. (7) cost with the augmented
+/// Lagrangian over projected L-BFGS under one fixed solver schedule (4
+/// outer and 25 inner iterations, violation target 1e-3, initial penalty
+/// 10, stationarity 1e-6, improvement 1e-7; resumed solves take 1 outer
+/// and 8 inner iterations). The paper's Eq. (10) equal-pressure coupling
+/// applies whenever the model has two or more columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationConfig {
     /// Piecewise-constant segments per column (the control resolution `K`).
     pub segments: usize,
     /// Base mesh intervals for each BVP solve.
     pub mesh_intervals: usize,
-    /// Cost integral to minimize.
-    pub objective: ObjectiveKind,
-    /// Outer/inner constrained-solver options ([`optimize_resumed`] caps
-    /// them further for resumed solves).
-    pub auglag: AugLagOptions,
     /// Worker threads for finite-difference gradients.
     pub fd_threads: usize,
 }
 
-impl Default for OptimizationConfig {
-    fn default() -> Self {
-        Self {
-            segments: 16,
-            mesh_intervals: 384,
-            objective: ObjectiveKind::default(),
-            auglag: AugLagOptions {
-                max_outer_iterations: 8,
-                violation_tol: 1e-4,
-                initial_penalty: 10.0,
-                inner: LbfgsOptions {
-                    max_iterations: 60,
-                    stationarity_tol: 1e-7,
-                    improvement_tol: 1e-8,
-                    ..LbfgsOptions::default()
-                },
-                ..AugLagOptions::default()
-            },
-            fd_threads: default_threads(),
-        }
-    }
-}
-
 impl OptimizationConfig {
-    /// A coarse, fast configuration for tests and doc examples: fewer
-    /// segments, a coarse mesh and tight iteration caps. Accuracy is
-    /// enough to demonstrate every qualitative result.
+    /// The coarse configuration every caller starts from: 8 segments on a
+    /// 96-interval mesh, with one finite-difference worker per available
+    /// core (at most 16). Accuracy is enough to demonstrate every
+    /// qualitative result; callers refine `segments` and `mesh_intervals`.
     pub fn fast() -> Self {
         Self {
             segments: 8,
             mesh_intervals: 96,
-            auglag: AugLagOptions {
-                max_outer_iterations: 4,
-                violation_tol: 1e-3,
-                initial_penalty: 10.0,
-                inner: LbfgsOptions {
-                    max_iterations: 25,
-                    stationarity_tol: 1e-6,
-                    improvement_tol: 1e-7,
-                    ..LbfgsOptions::default()
-                },
-                ..AugLagOptions::default()
-            },
-            ..Self::default()
+            fd_threads: default_threads(),
         }
     }
 
@@ -130,16 +101,25 @@ impl OptimizationConfig {
         Ok(())
     }
 
-    /// The constrained-solver options of one run: `auglag` with the
-    /// finite-difference workers, capped for a `resumed` solve.
+    /// The constrained-solver options of one run: the fixed schedule with
+    /// the finite-difference workers, capped for a `resumed` solve.
     fn solver_options(&self, resumed: bool) -> AugLagOptions {
-        let mut auglag = self.auglag.clone();
-        auglag.inner.fd_threads = self.fd_threads;
-        if resumed {
-            auglag.inner.max_iterations = auglag.inner.max_iterations.min(RESUME_INNER_ITERATIONS);
-            auglag.max_outer_iterations = auglag.max_outer_iterations.min(RESUME_OUTER_ITERATIONS);
+        let (outer, inner) = if resumed {
+            (RESUME_OUTER_ITERATIONS, RESUME_INNER_ITERATIONS)
+        } else {
+            (OUTER_ITERATIONS, INNER_ITERATIONS)
+        };
+        AugLagOptions {
+            max_outer_iterations: outer,
+            violation_tol: VIOLATION_TOL,
+            initial_penalty: INITIAL_PENALTY,
+            inner: LbfgsOptions {
+                max_iterations: inner,
+                stationarity_tol: STATIONARITY_TOL,
+                improvement_tol: IMPROVEMENT_TOL,
+                fd_threads: self.fd_threads,
+            },
         }
-        auglag
     }
 }
 
@@ -299,17 +279,12 @@ impl<'a> WidthProblem<'a> {
     fn raw_objective(&self, x: &[f64]) -> f64 {
         let model = self.model_with(x);
         // Cost-only solve: skips the Solution profile materialization while
-        // producing bit-identical integrals (see `Model::solve_costs_with`).
-        let solved = self.pool.with(|ws| model.solve_costs_with(&self.solve, ws));
-        match solved {
-            Ok(costs) => match self.config.objective {
-                ObjectiveKind::GradientSquared => costs.gradient_squared,
-                ObjectiveKind::HeatflowSquared => costs.heatflow_squared,
-            },
-            // Infinite cost steers the line search away from pathological
-            // candidates instead of aborting the whole run.
-            Err(_) => f64::INFINITY,
-        }
+        // producing a bit-identical integral (see `Model::solve_cost_with`).
+        // Infinite cost steers the line search away from pathological
+        // candidates instead of aborting the whole run.
+        self.pool
+            .with(|ws| model.solve_cost_with(&self.solve, ws))
+            .unwrap_or(f64::INFINITY)
     }
 
     /// Re-solves the design at `x_opt` with its full solution profile and
@@ -577,12 +552,7 @@ pub fn optimize_min_pumping(
         &thermal.anchor(),
         &config.solver_options(false),
     );
-    thermal.outcome(x, evaluations, feasible, |solution| {
-        match config.objective {
-            ObjectiveKind::GradientSquared => solution.cost_gradient_squared(),
-            ObjectiveKind::HeatflowSquared => solution.cost_heatflow_squared(),
-        }
-    })
+    thermal.outcome(x, evaluations, feasible, Solution::cost_gradient_squared)
 }
 
 /// Convenience used by comparisons and benches: solve `model` with every

@@ -8,8 +8,9 @@ use crate::compare::DesignComparison;
 use crate::design::OptimizationConfig;
 use crate::scenario::{mpsoc_model, strip_model, MpsocScenario};
 use crate::Result;
-use liquamod_floorplan::{arch, testcase, PowerLevel};
-use liquamod_thermal_model::ModelParams;
+use liquamod_floorplan::arch::{self, Architecture};
+use liquamod_floorplan::{testcase, PowerLevel};
+use liquamod_thermal_model::{ModelParams, SolveOptions};
 
 /// Default number of grouped channel columns used for the MPSoC scenarios
 /// (100 physical channels reduced to 10 nodes, per §III's model reduction).
@@ -68,19 +69,21 @@ pub fn mpsoc(
     params: &ModelParams,
     config: &OptimizationConfig,
 ) -> Result<(MpsocScenario, DesignComparison)> {
-    let architecture = match arch_index {
-        1 => arch::arch1(),
-        2 => arch::arch2(),
-        3 => arch::arch3(),
-        other => {
-            return Err(crate::CoreError::InvalidConfig {
-                what: format!("architecture index {other} (paper defines 1..=3)"),
-            })
-        }
-    };
-    let scenario = mpsoc_model(&architecture, level, params, MPSOC_GROUPS)?;
+    let scenario = mpsoc_model(&architecture(arch_index)?, level, params, MPSOC_GROUPS)?;
     let comparison = DesignComparison::run(&scenario.model, config)?;
     Ok((scenario, comparison))
+}
+
+/// The paper's architecture `arch_index` (1-based, "Arch. 1" … "Arch. 3").
+fn architecture(arch_index: usize) -> Result<Architecture> {
+    match arch_index {
+        1 => Ok(arch::arch1()),
+        2 => Ok(arch::arch2()),
+        3 => Ok(arch::arch3()),
+        other => Err(crate::CoreError::InvalidConfig {
+            what: format!("architecture index {other} (paper defines 1..=3)"),
+        }),
+    }
 }
 
 /// A deliberately small two-group MPSoC-style scenario (a 2 mm-wide slice
@@ -94,7 +97,7 @@ pub fn mpsoc_small_for_tests(
     params: &ModelParams,
     config: &OptimizationConfig,
 ) -> Result<(MpsocScenario, crate::DesignComparison)> {
-    use liquamod_floorplan::{arch::Architecture, Block, Floorplan};
+    use liquamod_floorplan::{Block, Floorplan};
     use liquamod_units::Length;
 
     // A 2 mm-wide vertical slice of the Niagara die: one core column over
@@ -160,63 +163,16 @@ fn reevaluate_at_level(
     config: &OptimizationConfig,
     peak: &DesignComparison,
 ) -> Result<DesignComparison> {
-    use crate::compare::CaseResult;
-    use liquamod_thermal_model::SolveOptions;
-
-    let architecture = match arch_index {
-        1 => arch::arch1(),
-        2 => arch::arch2(),
-        _ => arch::arch3(),
-    };
-    let scenario = mpsoc_model(&architecture, level, params, MPSOC_GROUPS)?;
-    let solve = SolveOptions::with_mesh_intervals(config.mesh_intervals);
-
-    let with_widths = |widths: &[liquamod_thermal_model::WidthProfile]| -> Result<_> {
-        let mut m = scenario.model.clone();
-        for (c, w) in widths.iter().enumerate() {
-            m.set_width_profile(c, w.clone())?;
-        }
-        let s = m.solve(&solve)?;
-        Ok((m, s))
-    };
-
-    let uniform = |w: liquamod_units::Length| -> Result<_> {
-        let widths: Vec<_> = (0..scenario.model.columns().len())
-            .map(|_| liquamod_thermal_model::WidthProfile::uniform(w))
-            .collect();
-        with_widths(&widths)
-    };
-
-    let (min_m, min_s) = uniform(params.w_min)?;
-    let (max_m, max_s) = uniform(params.w_max)?;
-    let (opt_m, opt_s) = with_widths(&peak.outcome.widths)?;
-
-    let evaluate = |label: &str,
-                    m: &liquamod_thermal_model::Model,
-                    s: &liquamod_thermal_model::Solution|
-     -> Result<CaseResult> {
-        let drops = m.pressure_drops()?;
-        Ok(CaseResult {
-            label: label.to_string(),
-            gradient_k: s.thermal_gradient().as_kelvin(),
-            peak_celsius: s.peak_temperature().as_celsius(),
-            max_pressure_bar: drops.iter().map(|p| p.as_bar()).fold(0.0, f64::max),
-            pump_power_w: m.pump_power()?.as_watts(),
-            cost_gradient_squared: s.cost_gradient_squared(),
-        })
-    };
-
+    let scenario = mpsoc_model(&architecture(arch_index)?, level, params, MPSOC_GROUPS)?;
     let mut outcome = peak.outcome.clone();
-    outcome.model = opt_m.clone();
-    outcome.solution = opt_s.clone();
-    Ok(DesignComparison {
-        minimum: evaluate("minimum", &min_m, &min_s)?,
-        maximum: evaluate("maximum", &max_m, &max_s)?,
-        optimal: evaluate("optimal", &opt_m, &opt_s)?,
-        outcome,
-        minimum_solution: min_s,
-        maximum_solution: max_s,
-    })
+    outcome.model = scenario.model.clone();
+    for (c, w) in peak.outcome.widths.iter().enumerate() {
+        outcome.model.set_width_profile(c, w.clone())?;
+    }
+    outcome.solution = outcome
+        .model
+        .solve(&SolveOptions::with_mesh_intervals(config.mesh_intervals))?;
+    DesignComparison::score(&scenario.model, config.mesh_intervals, outcome)
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ pub use compare::{CaseResult, DesignComparison};
 pub use csv::CsvTable;
 pub use design::{
     optimize, optimize_min_pumping, optimize_resumed, optimize_warm, DesignOutcome,
-    DesignWarmStart, ObjectiveKind, OptimizationConfig,
+    DesignWarmStart, OptimizationConfig,
 };
 pub use error::CoreError;
 pub use faults::{
@@ -121,8 +121,7 @@ pub mod prelude {
     pub use crate::experiments;
     pub use crate::{
         mpsoc_model, optimize, optimize_min_pumping, optimize_warm, strip_model, CaseResult,
-        CoreError, DesignComparison, DesignOutcome, MpsocScenario, ObjectiveKind,
-        OptimizationConfig,
+        CoreError, DesignComparison, DesignOutcome, MpsocScenario, OptimizationConfig,
     };
     pub use liquamod_floorplan::{arch, niagara, testcase, PowerLevel};
     pub use liquamod_thermal_model::{

@@ -17,18 +17,20 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use liquamod_floorplan::PowerLevel;
+use liquamod_floorplan::{FluxGrid, PowerLevel};
 
 use crate::faults::{DegradedEvent, DegradedKind, SegmentFaults};
 use crate::fleet::{
     allocate_with, run_stack_segment, BudgetPolicy, PredictiveContext, PumpBudget, SurrogateModel,
 };
-use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocTrace};
+use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTrace};
 use crate::obs;
 use crate::serve::metrics::{PoolMetrics, SessionMetrics};
 use crate::serve::session::{ServeSession, SessionSnapshot};
 use crate::sweep::parallel_map;
-use crate::transient::{ModulationPolicy, ResumeState, TransientOutcome};
+use crate::transient::{
+    resume_widths_mismatch, ModulatedStack, ModulationPolicy, ResumeState, TransientOutcome,
+};
 use crate::{CoreError, Result};
 
 /// Configuration of a [`ServePool`].
@@ -153,6 +155,15 @@ fn width_band_um(resume: &ResumeState) -> (f64, f64) {
     } else {
         (0.0, 0.0)
     }
+}
+
+/// The first cell flux of `grid` that is negative or not finite, W/m².
+/// Scans the cells themselves: the grid's min/max folds skip a NaN.
+fn invalid_flux(grid: &FluxGrid) -> Option<f64> {
+    let (nx, nz) = grid.dims();
+    (0..nz)
+        .flat_map(|j| (0..nx).map(move |i| grid.flux_w_per_m2(i, j)))
+        .find(|f| !(f.is_finite() && *f >= 0.0))
 }
 
 /// A long-running modulation service: concurrent streaming sessions over
@@ -351,13 +362,25 @@ impl ServePool {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the snapshot's id is already live.
+    /// [`CoreError::InvalidConfig`] when the snapshot's id is already live;
+    /// [`CoreError::InvalidDocument`] when its resume state does not fit the
+    /// pool's stacks (another cavity or profile count, or a non-finite
+    /// width). Either way the pool is left unchanged.
     pub fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<u64> {
         let id = snapshot.session_id;
         if self.sessions.contains_key(&id) {
             return Err(CoreError::InvalidConfig {
                 what: format!("session {id} is already live; cannot restore over it"),
             });
+        }
+        if let Some(resume) = &snapshot.resume {
+            let family = MpsocModulated::for_arch(
+                &snapshot.arch.architecture(),
+                self.options.config.clone(),
+            )?;
+            if let Some(what) = resume_widths_mismatch(&resume.widths, &family.uniform_widths()) {
+                return Err(CoreError::InvalidDocument { what });
+            }
         }
         self.sessions
             .insert(id, ServeSession::from_snapshot(snapshot));
@@ -400,8 +423,10 @@ impl ServePool {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for an unknown session or a trace whose
-    /// load grids do not match the pool's `nx × nz` configuration.
+    /// [`CoreError::InvalidConfig`] for an unknown session, a trace whose
+    /// load grids do not match the pool's `nx × nz` configuration, or a
+    /// cell flux that is negative or not finite; the queue is then left
+    /// unchanged.
     pub fn submit(&mut self, id: u64, trace: MpsocTrace) -> Result<()> {
         let expected = (self.options.config.nx, self.options.config.nz);
         for phase in trace.phases() {
@@ -413,6 +438,16 @@ impl ServePool {
                         phase.label, dims.0, dims.1, expected.0, expected.1
                     ),
                 });
+            }
+            for (die, grid) in [("top", &phase.load.top), ("bottom", &phase.load.bottom)] {
+                if let Some(flux) = invalid_flux(grid) {
+                    return Err(CoreError::InvalidConfig {
+                        what: format!(
+                            "phase '{}' {die}-die flux {flux} W/m² must be finite and non-negative",
+                            phase.label
+                        ),
+                    });
+                }
             }
         }
         let session = self
@@ -572,8 +607,7 @@ impl ServePool {
             Ok((outcome, resume, t0.elapsed().as_secs_f64()))
         };
         let task_label = |task: &BatchTask| task.label.clone();
-        let results: Vec<Result<(TransientOutcome, ResumeState, f64)>> =
-            parallel_map(&tasks, self.options.workers, task_label, run_one)?;
+        let results = parallel_map(&tasks, self.options.workers, task_label, run_one);
 
         let mut decisions = Vec::with_capacity(tasks.len());
         let mut events = Vec::new();

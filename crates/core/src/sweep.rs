@@ -471,16 +471,18 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
         c.first()
             .map_or_else(|| "empty chain".to_string(), |v| v.label())
     };
-    let eval = |c: &&[SweepVariant]| evaluate_chain(c, &options.params, &config);
+    let eval = |c: &&[SweepVariant]| Ok(evaluate_chain(c, &options.params, &config));
     let start = Instant::now();
-    let chain_results: Vec<Vec<Result<SweepRow>>> =
-        parallel_map(&chains, workers, chain_label, eval)?;
+    let chain_results = parallel_map(&chains, workers, chain_label, eval);
     let wall = start.elapsed();
 
-    let rows = chain_results
-        .into_iter()
-        .flatten()
-        .collect::<Result<Vec<SweepRow>>>()?;
+    // The first failure in grid order; a panicked chain fails in its place.
+    let mut rows = Vec::with_capacity(variants.len());
+    for chain in chain_results {
+        for row in chain? {
+            rows.push(row?);
+        }
+    }
     Ok(SweepReport {
         rows,
         workers,
@@ -501,21 +503,22 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Evaluates one scheduling unit behind the panic boundary every fan-out
-/// shares: a panic inside `f` becomes [`CoreError::WorkerPanicked`]
-/// carrying the unit's label instead of unwinding the whole process — a
-/// served host must degrade, not die. `AssertUnwindSafe` is sound here
-/// because an `Err` discards every result of the fan-out, so no state
-/// poisoned mid-panic is ever observed.
+/// shares: a panic inside `f` becomes that unit's
+/// [`CoreError::WorkerPanicked`], carrying the unit's label, instead of
+/// unwinding the whole process — a served host must degrade, not die.
+/// `AssertUnwindSafe` is sound here because units share state only through
+/// `f`'s shared borrows (`Fn + Sync` over `&T`): what a panicking unit was
+/// building is dropped with it, and no other unit's result depends on it.
 fn catch_unit<T, R>(
     item: &T,
     label: &(impl Fn(&T) -> String + ?Sized),
-    f: &(impl Fn(&T) -> R + ?Sized),
+    f: &(impl Fn(&T) -> Result<R> + ?Sized),
 ) -> Result<R> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|p| {
-        CoreError::WorkerPanicked {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).unwrap_or_else(|p| {
+        Err(CoreError::WorkerPanicked {
             unit: label(item),
             payload: panic_payload(p),
-        }
+        })
     })
 }
 
@@ -526,10 +529,11 @@ fn catch_unit<T, R>(
 /// the serve session pool all go through it. With `workers <= 1` the units
 /// run inline on the calling thread, in item order, with no thread spawned.
 ///
-/// A panicking unit surfaces as [`CoreError::WorkerPanicked`] labelled via
-/// `label`; when several units panic, the first in **item order** wins, so
-/// the reported unit is independent of thread interleaving (and the inline
-/// path reports the same unit).
+/// Every unit gets its own result: a panicking unit yields
+/// [`CoreError::WorkerPanicked`] labelled via `label` in its own slot and
+/// leaves the other units' results untouched, at any worker count. Callers
+/// that fail the whole fan-out take the first `Err` in **item order**, so
+/// the reported failure is independent of thread interleaving.
 ///
 /// When an [`crate::obs`] session is recording, each unit's spans,
 /// counters and events are captured from the worker's thread-local buffer
@@ -544,11 +548,11 @@ pub(crate) fn parallel_map<T, R, F, N>(
     workers: usize,
     label: N,
     f: F,
-) -> Result<Vec<R>>
+) -> Vec<Result<R>>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(&T) -> Result<R> + Sync,
     N: Fn(&T) -> String + Sync,
 {
     if workers <= 1 {
@@ -787,65 +791,64 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order_under_contention() {
         let items: Vec<usize> = (0..97).collect();
-        let out = parallel_map(&items, 5, |&x| format!("item {x}"), |&x| x * 3).unwrap();
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        let run = |workers, f: fn(usize) -> usize| {
+            parallel_map(&items, workers, |&x| format!("item {x}"), |&x| Ok(f(x)))
+                .into_iter()
+                .collect::<Result<Vec<_>>>()
+                .unwrap()
+        };
+        assert_eq!(
+            run(5, |x| x * 3),
+            items.iter().map(|x| x * 3).collect::<Vec<_>>()
+        );
         // Degenerate worker counts still work.
-        let out = parallel_map(&items, 200, |&x| format!("item {x}"), |&x| x + 1).unwrap();
-        assert_eq!(out.len(), 97);
+        assert_eq!(run(200, |x| x + 1).len(), 97);
     }
 
     #[test]
     fn worker_panic_is_a_typed_error_not_a_crash() {
         // Before `catch_unit`, the join did `.expect("sweep worker
-        // panicked")` and took the whole process down with the variant.
+        // panicked")` and took the whole process down with the variant. A
+        // panic now fails only its own unit, at any worker count: units 7
+        // and 11 panic, unit 2 returns a typed error, the rest land.
         let items: Vec<usize> = (0..16).collect();
-        let err = parallel_map(
-            &items,
-            4,
-            |&x| format!("unit {x}"),
-            |&x| {
-                assert!(x != 11, "injected failure on item 11");
-                x * 2
-            },
-        )
-        .unwrap_err();
-        match err {
-            CoreError::WorkerPanicked { unit, payload } => {
-                assert_eq!(unit, "unit 11");
-                assert!(payload.contains("injected failure"), "payload: {payload}");
+        for workers in [1, 4] {
+            let out = parallel_map(
+                &items,
+                workers,
+                |&x| format!("unit {x}"),
+                |&x| {
+                    assert!(x != 7 && x != 11, "injected failure on item {x}");
+                    if x == 2 {
+                        return Err(CoreError::InvalidConfig {
+                            what: "typed failure".into(),
+                        });
+                    }
+                    Ok(x * 2)
+                },
+            );
+            assert_eq!(out.len(), items.len());
+            for (&x, result) in items.iter().zip(&out) {
+                match (x, result) {
+                    (7 | 11, Err(CoreError::WorkerPanicked { unit, payload })) => {
+                        assert_eq!(unit, &format!("unit {x}"));
+                        assert!(
+                            payload.contains(&format!("injected failure on item {x}")),
+                            "payload: {payload}"
+                        );
+                    }
+                    (2, Err(CoreError::InvalidConfig { .. })) => {}
+                    (x, Ok(doubled)) if ![2, 7, 11].contains(&x) => assert_eq!(*doubled, 2 * x),
+                    (x, other) => panic!("{workers} workers, unit {x}: {other:?}"),
+                }
             }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
+            // The first failure in item order is the typed error ahead of
+            // both panics, whatever the thread interleaving.
+            let first = out.into_iter().collect::<Result<Vec<_>>>().unwrap_err();
+            assert!(
+                matches!(first, CoreError::InvalidConfig { .. }),
+                "{workers} workers: {first:?}"
+            );
         }
-        // Several panicking units: the first in item order wins, whatever
-        // the thread interleaving.
-        let err = parallel_map(
-            &items,
-            4,
-            |&x| format!("unit {x}"),
-            |&x| {
-                assert!(x < 5, "boom");
-                x
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::WorkerPanicked { ref unit, .. } if unit == "unit 5"
-        ));
-        // The serial path degrades identically (parallel == serial).
-        let err = parallel_map(
-            &items,
-            1,
-            |&x| format!("unit {x}"),
-            |&x| {
-                assert!(x != 3, "serial failure");
-                x
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::WorkerPanicked { ref unit, .. } if unit == "unit 3"
-        ));
     }
 }

@@ -234,6 +234,30 @@ impl ResumeState {
     }
 }
 
+/// What keeps `widths` from resuming a run of a stack family whose starting
+/// profiles are `uniform` ([`ModulatedStack::uniform_widths`]): another
+/// cavity count, another number of profiles in some cavity, or a
+/// non-finite width. `None` when they fit.
+pub(crate) fn resume_widths_mismatch(
+    widths: &CavityProfiles,
+    uniform: &CavityProfiles,
+) -> Option<String> {
+    let shape = |p: &CavityProfiles| p.iter().map(Vec::len).collect::<Vec<_>>();
+    if shape(widths) != shape(uniform) {
+        return Some(format!(
+            "resume state has {:?} width profiles per cavity, the stack has {:?}",
+            shape(widths),
+            shape(uniform)
+        ));
+    }
+    widths
+        .iter()
+        .flatten()
+        .flat_map(WidthProfile::values)
+        .find(|w| !w.is_finite())
+        .map(|w| format!("resume state holds a non-finite width ({} m)", w.si()))
+}
+
 /// What one epoch's optimizer run produced, plus the incumbent's score on
 /// the same model — everything the controller needs for its adopt/reject
 /// decision.
@@ -823,8 +847,10 @@ impl<S: ModulatedStack> ModulationController<S> {
     ///
     /// # Errors
     ///
-    /// Propagates model-construction, optimizer and stepper failures
-    /// (optimizer failures only when `tolerant` is off).
+    /// [`CoreError::InvalidConfig`] when `resume`'s widths do not fit the
+    /// family (another cavity or profile count, or a non-finite width);
+    /// otherwise propagates model-construction, optimizer and stepper
+    /// failures (optimizer failures only when `tolerant` is off).
     pub fn run_segment(
         &self,
         trace: &PowerTrace<S::Load>,
@@ -839,9 +865,15 @@ impl<S: ModulatedStack> ModulationController<S> {
             });
         }
         let total_steps = ((trace.total_duration_seconds() / dt).round() as usize).max(1);
+        let uniform = self.family.uniform_widths();
         let (mut state, widths, warm, resume_gradient_k) = match resume {
-            Some(r) => (Some(r.state), r.widths, r.warm, r.last_gradient_k),
-            None => (None, self.family.uniform_widths(), None, 0.0),
+            Some(r) => {
+                if let Some(what) = resume_widths_mismatch(&r.widths, &uniform) {
+                    return Err(CoreError::InvalidConfig { what });
+                }
+                (Some(r.state), r.widths, r.warm, r.last_gradient_k)
+            }
+            None => (None, uniform, None, 0.0),
         };
         let plant_family = plant.unwrap_or(&self.family);
         // Under a stuck valve the plant's widths stay frozen at the entry
@@ -1450,7 +1482,7 @@ pub(crate) fn run_modulation_sweep<V: Sync>(
     let start = Instant::now();
     let outcomes = parallel_map(&units, workers, unit_label, |&(v, policy)| {
         run_half(v, policy)
-    })?;
+    });
     let wall = start.elapsed();
     let outcomes = outcomes.into_iter().collect::<Result<Vec<_>>>()?;
     let rows = variants
@@ -1497,6 +1529,31 @@ pub fn run_transient_sweep(
 mod tests {
     use super::*;
     use liquamod_floorplan::{testcase, trace};
+
+    #[test]
+    fn modulation_sweep_reports_the_first_failure_in_item_order() {
+        // Variants 0 and 1 fail with a typed error, variant 2 panics: the
+        // sweep reports variant 0's modulated half, at any worker count.
+        for workers in [1, 4] {
+            let err = run_modulation_sweep(
+                &[0usize, 1, 2],
+                workers,
+                ModulationPolicy::every(4),
+                |v| format!("variant {v}"),
+                |&v, _| {
+                    assert!(v != 2, "injected panic");
+                    Err(CoreError::InvalidConfig {
+                        what: format!("variant {v} fails"),
+                    })
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig { ref what } if what == "variant 0 fails"),
+                "{workers} workers: {err:?}"
+            );
+        }
+    }
 
     /// A deliberately tiny configuration so unit tests stay quick; the
     /// heavier end-to-end scenarios live in `tests/integration_transient.rs`.

@@ -166,9 +166,10 @@ impl StackBuilder {
     ///
     /// [`GridSimError::InvalidStack`] when the description is inconsistent
     /// (empty stack, cavity on the boundary or adjacent to another cavity,
-    /// non-positive dimensions, width samples of the wrong shape, widths not
-    /// inside `(0, pitch)`), and [`GridSimError::PowerMapMismatch`] when a
-    /// power map grid disagrees with the stack grid.
+    /// non-positive or non-finite dimensions, width samples of the wrong
+    /// shape, widths not inside `(0, pitch)`, NaN included), and
+    /// [`GridSimError::PowerMapMismatch`] when a power map grid disagrees
+    /// with the stack grid.
     pub fn build(self) -> Result<Stack, GridSimError> {
         let fail = |what: &str| {
             Err(GridSimError::InvalidStack {
@@ -196,9 +197,9 @@ impl StackBuilder {
                     name,
                     ..
                 } => {
-                    if thickness.si() <= 0.0 {
+                    if !(thickness.is_finite() && thickness.si() > 0.0) {
                         return Err(GridSimError::InvalidStack {
-                            what: format!("layer '{name}' thickness must be positive"),
+                            what: format!("layer '{name}' thickness must be positive and finite"),
                         });
                     }
                     if let Some(p) = power {
@@ -214,12 +215,14 @@ impl StackBuilder {
                     {
                         return fail("two cavities cannot be adjacent");
                     }
-                    if spec.height.si() <= 0.0 {
-                        return fail("cavity height must be positive");
+                    if !(spec.height.is_finite() && spec.height.si() > 0.0) {
+                        return fail("cavity height must be positive and finite");
                     }
+                    // Written so that a NaN width fails the range check too.
+                    let outside = |w: &Length| !(w.si() > 0.0 && w.si() < pitch);
                     match &spec.widths {
                         CavityWidths::Uniform(w) => {
-                            if w.si() <= 0.0 || w.si() >= pitch {
+                            if outside(w) {
                                 return fail("channel width must be inside (0, pitch)");
                             }
                         }
@@ -231,7 +234,7 @@ impl StackBuilder {
                                 if col.len() != self.nz {
                                     return fail("per-column widths must have nz samples");
                                 }
-                                if col.iter().any(|w| w.si() <= 0.0 || w.si() >= pitch) {
+                                if col.iter().any(outside) {
                                     return fail("channel width must be inside (0, pitch)");
                                 }
                             }
@@ -373,6 +376,42 @@ mod tests {
             .silicon_layer("b", um(50.0))
             .build();
         assert!(matches!(err, Err(GridSimError::InvalidStack { .. })));
+    }
+
+    #[test]
+    fn rejects_nan_dimensions_instead_of_panicking_later() {
+        let nan = Length::from_meters(f64::NAN);
+        let cavity = |widths| {
+            basic_builder()
+                .silicon_layer("a", um(50.0))
+                .microchannel_cavity(widths)
+                .silicon_layer("b", um(50.0))
+                .build()
+        };
+        // A NaN uniform width, and a NaN in one cell of per-column widths.
+        let mut one_cell = vec![vec![um(30.0); 20]; 10];
+        one_cell[7][13] = nan;
+        for widths in [
+            CavityWidths::Uniform(nan),
+            CavityWidths::PerColumn(one_cell),
+        ] {
+            assert!(matches!(
+                cavity(widths),
+                Err(GridSimError::InvalidStack { .. })
+            ));
+        }
+        // NaN layer thickness and cavity height.
+        let thick = basic_builder().silicon_layer("a", nan).build();
+        assert!(matches!(thick, Err(GridSimError::InvalidStack { .. })));
+        let tall = basic_builder()
+            .silicon_layer("a", um(50.0))
+            .microchannel_cavity_with(CavitySpec {
+                height: nan,
+                ..CavitySpec::date2012(CavityWidths::Uniform(um(50.0)))
+            })
+            .silicon_layer("b", um(50.0))
+            .build();
+        assert!(matches!(tall, Err(GridSimError::InvalidStack { .. })));
     }
 
     #[test]

@@ -18,7 +18,17 @@
 use crate::lbfgs::{lbfgs_b, LbfgsOptions};
 use crate::{Bounds, ConstrainedObjective, Objective};
 
-/// Options for [`augmented_lagrangian`].
+/// Factor applied to `μ` when the violation stalls.
+const PENALTY_GROWTH: f64 = 10.0;
+/// Per-outer-iteration violation reduction required to keep `μ` fixed (and
+/// advance the multipliers instead).
+const VIOLATION_REDUCTION: f64 = 0.25;
+/// Cap on `μ`; beyond it the problem is reported as-is.
+const MAX_PENALTY: f64 = 1e12;
+
+/// Options for [`augmented_lagrangian`]. The penalty schedule is fixed:
+/// `μ` grows tenfold whenever an outer iteration fails to cut the violation
+/// to a quarter of its previous value, up to `1e12`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AugLagOptions {
     /// Outer (multiplier-update) iteration cap.
@@ -27,12 +37,6 @@ pub struct AugLagOptions {
     pub violation_tol: f64,
     /// Initial penalty parameter `μ`.
     pub initial_penalty: f64,
-    /// Factor applied to `μ` when violation stalls.
-    pub penalty_growth: f64,
-    /// Required per-outer-iteration violation reduction to keep `μ` fixed.
-    pub violation_reduction: f64,
-    /// Cap on `μ` (beyond this the problem is reported as-is).
-    pub max_penalty: f64,
     /// Inner-solver options.
     pub inner: LbfgsOptions,
 }
@@ -43,9 +47,6 @@ impl Default for AugLagOptions {
             max_outer_iterations: 20,
             violation_tol: 1e-8,
             initial_penalty: 1.0,
-            penalty_growth: 10.0,
-            violation_reduction: 0.25,
-            max_penalty: 1e12,
             inner: LbfgsOptions::default(),
         }
     }
@@ -96,7 +97,7 @@ pub struct AugLagWarmStart {
     /// Equality multiplier estimates `λ`.
     pub equality_multipliers: Vec<f64>,
     /// Penalty parameter `μ` to resume at; clamped into
-    /// `[initial_penalty, max_penalty]` on use.
+    /// `[initial_penalty, 1e12]` on use.
     pub penalty: f64,
 }
 
@@ -162,7 +163,7 @@ pub fn augmented_lagrangian(
 /// [`augmented_lagrangian`] resuming from previously converged dual state.
 ///
 /// `warm` seeds the multipliers `ν`, `λ` and the penalty `μ` (clamped into
-/// `[initial_penalty, max_penalty]`; negative `ν` entries are clamped to 0).
+/// `[initial_penalty, 1e12]`; negative `ν` entries are clamped to 0).
 /// A warm start whose multiplier vectors do not match the problem's
 /// constraint counts is ignored — the solve falls back to a cold start
 /// rather than erroring, since a mismatch means the problem structure
@@ -191,9 +192,7 @@ pub fn augmented_lagrangian_warm(
                 .map(|v| v.max(0.0))
                 .collect(),
             lambda: w.equality_multipliers.clone(),
-            mu: w
-                .penalty
-                .clamp(options.initial_penalty, options.max_penalty),
+            mu: w.penalty.clamp(options.initial_penalty, MAX_PENALTY),
         },
         None => AugLagInner {
             problem,
@@ -223,7 +222,7 @@ pub fn augmented_lagrangian_warm(
         // escalate the penalty and retry. Updating unconditionally lets the
         // multipliers chase inner-solver noise with `μ`-sized increments and
         // diverge once `μ` grows large.
-        if v <= options.violation_reduction * prev_violation {
+        if v <= VIOLATION_REDUCTION * prev_violation {
             for (nui, gi) in inner.nu.iter_mut().zip(&g) {
                 *nui = (*nui + inner.mu * gi).max(0.0);
             }
@@ -232,7 +231,7 @@ pub fn augmented_lagrangian_warm(
             }
             prev_violation = v;
         } else {
-            inner.mu = (inner.mu * options.penalty_growth).min(options.max_penalty);
+            inner.mu = (inner.mu * PENALTY_GROWTH).min(MAX_PENALTY);
         }
         if n_ineq == 0 && n_eq == 0 {
             break;
@@ -447,7 +446,7 @@ mod tests {
         let r = augmented_lagrangian_warm(&IneqToy, &bounds, &[0.0], &opts, Some(&sketchy));
         assert!((r.x[0] - 1.0).abs() < 1e-4, "x = {:?}", r.x);
         assert!(r.feasible);
-        assert!(r.penalty <= opts.max_penalty);
+        assert!(r.penalty <= MAX_PENALTY);
         assert!(r.inequality_multipliers[0] >= 0.0);
     }
 
@@ -457,6 +456,6 @@ mod tests {
         let opts = AugLagOptions::default();
         let r = augmented_lagrangian(&Mixed, &bounds, &[0.0, 0.0], &opts);
         assert!(r.penalty >= opts.initial_penalty, "μ = {}", r.penalty);
-        assert!(r.penalty <= opts.max_penalty);
+        assert!(r.penalty <= MAX_PENALTY);
     }
 }

@@ -14,19 +14,22 @@ use crate::report::{OptimizeResult, StopReason};
 use crate::{Bounds, CountingObjective, Objective};
 use std::collections::VecDeque;
 
-/// Options for [`lbfgs_b`].
+/// History length `m`: curvature pairs retained.
+const MEMORY: usize = 8;
+/// Relative step of the forward-difference gradient.
+const FD_STEP: f64 = gradient::DEFAULT_RELATIVE_STEP;
+
+/// Options for [`lbfgs_b`]. The history length (8 curvature pairs) and the
+/// relative finite-difference step ([`gradient::DEFAULT_RELATIVE_STEP`])
+/// are fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LbfgsOptions {
     /// Iteration cap.
     pub max_iterations: usize,
-    /// History length `m` (curvature pairs retained).
-    pub memory: usize,
     /// Stop when projected-gradient stationarity falls below this.
     pub stationarity_tol: f64,
     /// Stop when the per-iteration relative improvement falls below this.
     pub improvement_tol: f64,
-    /// Relative finite-difference step.
-    pub fd_step: f64,
     /// Worker threads for the finite-difference gradient.
     pub fd_threads: usize,
 }
@@ -35,10 +38,8 @@ impl Default for LbfgsOptions {
     fn default() -> Self {
         Self {
             max_iterations: 200,
-            memory: 8,
             stationarity_tol: 1e-8,
             improvement_tol: 1e-10,
-            fd_step: gradient::DEFAULT_RELATIVE_STEP,
             fd_threads: 1,
         }
     }
@@ -113,7 +114,7 @@ pub fn lbfgs_b(
         &counting,
         &x,
         f,
-        options.fd_step,
+        FD_STEP,
         &mut grad,
         options.fd_threads.max(1),
     );
@@ -123,7 +124,7 @@ pub fn lbfgs_b(
     let mut iterations = 0;
     // Iteration-scoped buffers, allocated once and recycled.
     let mut direction: Vec<f64> = Vec::with_capacity(dim);
-    let mut alphas: Vec<f64> = Vec::with_capacity(options.memory.max(1));
+    let mut alphas: Vec<f64> = Vec::with_capacity(MEMORY);
     let mut grad_scratch: Vec<f64> = vec![0.0; dim];
 
     for _ in 0..options.max_iterations {
@@ -224,7 +225,7 @@ fn update_state<O: Objective + ?Sized>(
         counting,
         &x_new,
         f_new,
-        options.fd_step,
+        FD_STEP,
         grad_scratch,
         options.fd_threads.max(1),
     );
@@ -244,7 +245,7 @@ fn update_state<O: Objective + ?Sized>(
     if sy > 1e-12 * ss.sqrt() * yy.sqrt() {
         // Only a passing pair evicts history; the evicted pair donates its
         // storage so a churning full history does not reallocate.
-        let (mut s, mut y) = if pairs.len() == options.memory.max(1) {
+        let (mut s, mut y) = if pairs.len() == MEMORY {
             let (s, y, _) = pairs.pop_front().expect("non-empty history");
             (s, y)
         } else {

@@ -24,6 +24,14 @@
 //! The augmented Lagrangian over projected L-BFGS is the one NLP path: every
 //! design, epoch, fleet segment and serve decision runs through it.
 //!
+//! The solvers' internal schedule is fixed, not configurable: L-BFGS keeps
+//! 8 curvature pairs and differentiates with the relative forward step
+//! [`gradient::DEFAULT_RELATIVE_STEP`], and the augmented Lagrangian grows
+//! `μ` tenfold whenever an outer iteration fails to cut the violation to a
+//! quarter of its previous value, up to `μ = 1e12`. [`LbfgsOptions`] and
+//! [`AugLagOptions`] carry only what callers set: iteration caps,
+//! tolerances, the initial penalty and the finite-difference worker count.
+//!
 //! # Example
 //!
 //! ```

@@ -132,14 +132,15 @@ impl SolveOptions {
     }
 }
 
-/// The two §IV cost integrals of one solve, evaluated directly from the
-/// workspace states by [`Model::solve_costs_with`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostIntegrals {
-    /// `∫ ‖dT/dz‖² dz` over every layer of every column (paper Eq. 7).
-    pub gradient_squared: f64,
-    /// `∫ ‖q‖² dz` over every layer of every column (§IV-A variant).
-    pub heatflow_squared: f64,
+/// The first width of `profile` outside `(0, pitch)`, in metres, if any.
+/// Every defining value is checked, so a NaN anywhere is caught (the
+/// `min_width`/`max_width` folds skip it).
+fn invalid_width(profile: &WidthProfile, pitch: Length) -> Option<f64> {
+    profile
+        .values()
+        .iter()
+        .map(|w| w.si())
+        .find(|&w| !(w > 0.0 && w < pitch.si()))
 }
 
 /// A liquid-cooled two-active-layer channel stack: the paper's Fig. 2
@@ -161,9 +162,10 @@ impl Model {
     ///   is not positive;
     /// * [`ThermalModelError::NoColumns`] for an empty column list;
     /// * [`ThermalModelError::InvalidWidth`] if any width profile leaves
-    ///   `(0, pitch)` — note the *optimizer* constrains to `[w_min, w_max]`,
-    ///   but the model accepts any physically meaningful width so that
-    ///   baselines outside the optimization box can be studied.
+    ///   `(0, pitch)` or holds a NaN — note the *optimizer* constrains to
+    ///   `[w_min, w_max]`, but the model accepts any physically meaningful
+    ///   width so that baselines outside the optimization box can be
+    ///   studied.
     pub fn new(params: ModelParams, length: Length, columns: Vec<ChannelColumn>) -> Result<Self> {
         let mut problems = params.validation_errors();
         if !(length.is_finite() && length.si() > 0.0) {
@@ -175,14 +177,9 @@ impl Model {
         if columns.is_empty() {
             return Err(ThermalModelError::NoColumns);
         }
-        for (i, col) in columns.iter().enumerate() {
-            let lo = col.width.min_width();
-            let hi = col.width.max_width();
-            if lo.si() <= 0.0 || hi.si() >= params.pitch.si() {
-                return Err(ThermalModelError::InvalidWidth {
-                    column: i,
-                    width: if lo.si() <= 0.0 { lo.si() } else { hi.si() },
-                });
+        for (column, col) in columns.iter().enumerate() {
+            if let Some(width) = invalid_width(&col.width, params.pitch) {
+                return Err(ThermalModelError::InvalidWidth { column, width });
             }
         }
         Ok(Self {
@@ -223,12 +220,10 @@ impl Model {
     ///
     /// Panics if `i` is out of range.
     pub fn set_width_profile(&mut self, i: usize, width: WidthProfile) -> Result<()> {
-        let lo = width.min_width();
-        let hi = width.max_width();
-        if lo.si() <= 0.0 || hi.si() >= self.params.pitch.si() {
+        if let Some(w) = invalid_width(&width, self.params.pitch) {
             return Err(ThermalModelError::InvalidWidth {
                 column: i,
-                width: if lo.si() <= 0.0 { lo.si() } else { hi.si() },
+                width: w,
             });
         }
         self.columns[i].set_width(width);
@@ -310,31 +305,27 @@ impl Model {
         })
     }
 
-    /// Solves the BVP and evaluates only the optimal-control cost integrals,
-    /// skipping the [`Solution`] profile materialization entirely — the
-    /// optimizer's objective path, which discards everything but one scalar.
-    /// Bitwise-identical to computing [`Solution::cost_gradient_squared`] /
-    /// [`Solution::cost_heatflow_squared`] on [`Model::solve_with`]'s result.
+    /// Solves the BVP and evaluates only the optimal-control cost, the
+    /// paper's Eq. (7) integral `∫ ‖dT/dz‖² dz` over every layer of every
+    /// column, skipping the [`Solution`] profile materialization entirely —
+    /// the optimizer's objective path, which discards everything but this
+    /// scalar. Bitwise-identical to [`Solution::cost_gradient_squared`] on
+    /// [`Model::solve_with`]'s result.
     ///
     /// # Errors
     ///
     /// Same as [`Model::solve`].
-    pub fn solve_costs_with(
-        &self,
-        options: &SolveOptions,
-        ws: &mut SolveWorkspace,
-    ) -> Result<CostIntegrals> {
+    pub fn solve_cost_with(&self, options: &SolveOptions, ws: &mut SolveWorkspace) -> Result<f64> {
         self.solve_raw(options, ws)?;
         let n_nodes = ws.mesh.len();
         let s = 5 * self.columns.len();
         let states = &ws.bvp.rhs;
         let mut gradient_squared = 0.0;
-        let mut heatflow_squared = 0.0;
         for (i, col) in self.columns.iter().enumerate() {
             let scale = 1.0 / (self.params.g_longitudinal() * col.group_size as f64);
             let q = |j: usize| (states[j * s + 5 * i + 2], states[j * s + 5 * i + 3]);
             // Trapezoid with the same per-node arithmetic as
-            // `Solution::integrate_columns` (f evaluated afresh at j and
+            // `Solution::cost_gradient_squared` (f evaluated afresh at j and
             // j+1), so the sums agree bit for bit.
             for j in 0..n_nodes - 1 {
                 let h = ws.mesh[j + 1] - ws.mesh[j];
@@ -345,16 +336,12 @@ impl Model {
                     * ((t0 * scale).powi(2)
                         + (b0 * scale).powi(2)
                         + ((t1 * scale).powi(2) + (b1 * scale).powi(2)));
-                heatflow_squared += 0.5 * h * (t0.powi(2) + b0.powi(2) + (t1.powi(2) + b1.powi(2)));
             }
         }
-        Ok(CostIntegrals {
-            gradient_squared,
-            heatflow_squared,
-        })
+        Ok(gradient_squared)
     }
 
-    /// Shared internals of [`Model::solve_with`] / [`Model::solve_costs_with`]:
+    /// Shared internals of [`Model::solve_with`] / [`Model::solve_cost_with`]:
     /// mesh refresh, assembly and the banded solve, leaving the node-major
     /// states in the workspace.
     fn solve_raw(&self, options: &SolveOptions, ws: &mut SolveWorkspace) -> Result<()> {
@@ -758,6 +745,49 @@ mod tests {
             ),
             Err(ThermalModelError::InvalidWidth { .. })
         ));
+    }
+
+    #[test]
+    fn nan_widths_are_rejected_not_solved() {
+        let params = ModelParams::date2012();
+        let d = Length::from_centimeters(1.0);
+        let nan = Length::from_meters(f64::NAN);
+        let um = Length::from_micrometers;
+        // A NaN uniform width, and a NaN in one segment of a piecewise
+        // profile (the min/max folds alone would skip it).
+        for profile in [
+            WidthProfile::uniform(nan),
+            WidthProfile::piecewise_constant(vec![nan, um(30.0)]),
+            WidthProfile::piecewise_constant(vec![um(30.0), nan, um(20.0)]),
+        ] {
+            let col = ChannelColumn::new(profile.clone());
+            assert!(matches!(
+                Model::new(params.clone(), d, vec![col]),
+                Err(ThermalModelError::InvalidWidth { column: 0, width }) if width.is_nan()
+            ));
+            let mut model = test_a_model(30.0);
+            assert!(matches!(
+                model.set_width_profile(0, profile),
+                Err(ThermalModelError::InvalidWidth { column: 0, .. })
+            ));
+            assert_eq!(
+                model,
+                test_a_model(30.0),
+                "a refused profile is not applied"
+            );
+        }
+    }
+
+    #[test]
+    fn cost_solve_matches_the_solution_cost_bitwise() {
+        let mut ws = SolveWorkspace::new();
+        for width_um in [20.0, 50.0] {
+            let model = test_a_model(width_um);
+            let opts = SolveOptions::with_mesh_intervals(64);
+            let cost = model.solve_cost_with(&opts, &mut ws).unwrap();
+            let solved = model.solve(&opts).unwrap().cost_gradient_squared();
+            assert_eq!(cost.to_bits(), solved.to_bits(), "width {width_um} µm");
+        }
     }
 
     #[test]

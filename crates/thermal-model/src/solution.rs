@@ -136,24 +136,13 @@ impl Solution {
     /// over every layer of every column, evaluated via the exact relation
     /// `dT/dz = −q/ĝ_l` and trapezoidal quadrature on the mesh.
     pub fn cost_gradient_squared(&self) -> f64 {
-        self.integrate_columns(|c, j| {
-            let s = 1.0 / c.g_longitudinal;
-            (c.q_top[j] * s).powi(2) + (c.q_bottom[j] * s).powi(2)
-        })
-    }
-
-    /// The paper's equivalent heat-flow cost: `∫ ‖q‖² dz` (§IV-A notes the
-    /// two are proportional through the conduction law).
-    pub fn cost_heatflow_squared(&self) -> f64 {
-        self.integrate_columns(|c, j| c.q_top[j].powi(2) + c.q_bottom[j].powi(2))
-    }
-
-    fn integrate_columns(&self, f: impl Fn(&ColumnProfiles, usize) -> f64) -> f64 {
         let mut total = 0.0;
         for c in &self.columns {
+            let s = 1.0 / c.g_longitudinal;
+            let f = |j: usize| (c.q_top[j] * s).powi(2) + (c.q_bottom[j] * s).powi(2);
             for j in 0..self.z.len() - 1 {
                 let h = self.z[j + 1] - self.z[j];
-                total += 0.5 * h * (f(c, j) + f(c, j + 1));
+                total += 0.5 * h * (f(j) + f(j + 1));
             }
         }
         total
@@ -256,15 +245,14 @@ mod tests {
     fn costs_zero_for_zero_heatflow() {
         let s = toy_solution();
         assert_eq!(s.cost_gradient_squared(), 0.0);
-        assert_eq!(s.cost_heatflow_squared(), 0.0);
     }
 
     #[test]
     fn costs_trapezoid() {
         let mut s = toy_solution();
         s.columns[0].q_top = vec![1.0, 3.0];
-        // ∫ q² over [0, 0.01] trapezoid: 0.5·0.01·(1 + 9) = 0.05
-        assert!((s.cost_heatflow_squared() - 0.05).abs() < 1e-12);
+        // ∫ q² over [0, 0.01] trapezoid: 0.5·0.01·(1 + 9) = 0.05, scaled
+        // by 1/ĝ_l² through dT/dz = −q/ĝ_l.
         let scale = (1.0 / 6.5e-7_f64).powi(2);
         assert!((s.cost_gradient_squared() - 0.05 * scale).abs() < scale * 1e-12);
     }

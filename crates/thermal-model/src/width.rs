@@ -112,39 +112,31 @@ impl WidthProfile {
         }
     }
 
+    /// The widths that define the profile: the one uniform width, the
+    /// per-segment widths or the knots, inlet to outlet.
+    pub fn values(&self) -> &[Length] {
+        match self {
+            WidthProfile::Uniform(w) => std::slice::from_ref(w),
+            WidthProfile::PiecewiseConstant { widths } => widths,
+            WidthProfile::PiecewiseLinear { knots } => knots,
+        }
+    }
+
     /// Smallest width anywhere on the profile.
     pub fn min_width(&self) -> Length {
-        match self {
-            WidthProfile::Uniform(w) => *w,
-            WidthProfile::PiecewiseConstant { widths } => {
-                widths.iter().copied().fold(widths[0], Length::min)
-            }
-            WidthProfile::PiecewiseLinear { knots } => {
-                knots.iter().copied().fold(knots[0], Length::min)
-            }
-        }
+        let values = self.values();
+        values.iter().copied().fold(values[0], Length::min)
     }
 
     /// Largest width anywhere on the profile.
     pub fn max_width(&self) -> Length {
-        match self {
-            WidthProfile::Uniform(w) => *w,
-            WidthProfile::PiecewiseConstant { widths } => {
-                widths.iter().copied().fold(widths[0], Length::max)
-            }
-            WidthProfile::PiecewiseLinear { knots } => {
-                knots.iter().copied().fold(knots[0], Length::max)
-            }
-        }
+        let values = self.values();
+        values.iter().copied().fold(values[0], Length::max)
     }
 
     /// Number of free parameters in the profile (1 for uniform).
     pub fn parameter_count(&self) -> usize {
-        match self {
-            WidthProfile::Uniform(_) => 1,
-            WidthProfile::PiecewiseConstant { widths } => widths.len(),
-            WidthProfile::PiecewiseLinear { knots } => knots.len(),
-        }
+        self.values().len()
     }
 }
 

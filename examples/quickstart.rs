@@ -9,8 +9,9 @@ fn main() -> Result<(), CoreError> {
     // Table I parameters with the calibrated per-channel flow rate.
     let params = ModelParams::date2012();
 
-    // The balanced default configuration; use `OptimizationConfig::fast()`
-    // for a few-second smoke run.
+    // `OptimizationConfig::fast()` refined to 12 segments on 256 mesh
+    // intervals (the figure binaries' non-FAST setting); `fast()` itself
+    // gives a few-second smoke run.
     let config = OptimizationConfig {
         segments: 12,
         mesh_intervals: 256,

@@ -144,23 +144,3 @@ fn equal_pressure_coupling_holds_across_groups() {
         );
     }
 }
-
-#[test]
-fn objective_ablation_both_forms_agree() {
-    // ‖T'‖² and ‖q‖² are proportional for a single column, so the optima
-    // must essentially coincide.
-    let params = ModelParams::date2012();
-    let base = fast_config();
-    let grad_cfg = OptimizationConfig {
-        objective: ObjectiveKind::GradientSquared,
-        ..base.clone()
-    };
-    let heat_cfg = OptimizationConfig {
-        objective: ObjectiveKind::HeatflowSquared,
-        ..base
-    };
-    let a = experiments::test_a(&params, &grad_cfg).expect("runs");
-    let b = experiments::test_a(&params, &heat_cfg).expect("runs");
-    let rel = (a.optimal.gradient_k - b.optimal.gradient_k).abs() / a.optimal.gradient_k;
-    assert!(rel < 0.05, "objective forms diverge: {rel:.3}");
-}

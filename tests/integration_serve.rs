@@ -13,8 +13,10 @@
 //! ```
 
 use liquamod::fleet::StackSurrogate;
+use liquamod::floorplan::trace::{Phase, PowerTrace};
+use liquamod::floorplan::FluxGrid;
 use liquamod::json::Json;
-use liquamod::mpsoc::{ArchSpec, MpsocConfig};
+use liquamod::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocLoad, MpsocTrace};
 use liquamod::prelude::PowerLevel;
 use liquamod::serve::{
     run_soak, soak_outcomes_match, verify_snapshot_restore, verify_streaming_identity,
@@ -666,4 +668,184 @@ fn undersubscribed_soak_surfaces_clamp_and_restore_churn() {
         .snapshots
         .iter()
         .all(|s| s.segments_done <= plan.phases_per_session));
+}
+
+/// The length of every phase the client-boundary tests submit: six steps
+/// of `small_config()`'s 2 ms, one epoch of `serve_options`' cadence.
+const BOUNDARY_PHASE_SECONDS: f64 = 6.0 * 2e-3;
+
+/// One phase of Arch. 1 at average power on the small grid, with cell
+/// `cell` (row-major) of die `die` (0 top, 1 bottom) set to `flux` W/m².
+fn poisoned_trace(die: usize, cell: usize, flux: f64) -> MpsocTrace {
+    let config = small_config();
+    let (nx, nz) = (config.nx, config.nz);
+    let healthy =
+        MpsocLoad::from_arch(&ArchSpec::Arch1.architecture(), PowerLevel::Average, nx, nz);
+    let poison = |grid: &FluxGrid, hit: bool| {
+        let (w, d) = (grid.die_width(), grid.die_length());
+        FluxGrid::from_fn(nx, nz, w, d, |x, z| {
+            // Cell centres map back to their own indices.
+            let i = (x.si() / w.si() * nx as f64) as usize;
+            let j = (z.si() / d.si() * nz as f64) as usize;
+            if hit && j * nx + i == cell {
+                flux
+            } else {
+                grid.flux_w_per_m2(i, j)
+            }
+        })
+    };
+    let load = MpsocLoad::new(
+        poison(&healthy.top, die == 0),
+        poison(&healthy.bottom, die == 1),
+    )
+    .unwrap();
+    PowerTrace::new(vec![Phase {
+        label: "poisoned".into(),
+        duration_seconds: BOUNDARY_PHASE_SECONDS,
+        load,
+    }])
+    .unwrap()
+}
+
+/// A pool with a healthy neighbour session holding one queued phase, plus
+/// the session under test (nothing queued).
+fn pool_with_neighbour() -> (ServePool, u64, u64) {
+    let mut pool = ServePool::new(serve_options(1, 2)).unwrap();
+    let neighbour = pool.open(ArchSpec::Arch2).unwrap();
+    pool.submit_level(neighbour, PowerLevel::Peak, BOUNDARY_PHASE_SECONDS)
+        .unwrap();
+    let probe = pool.open(ArchSpec::Arch1).unwrap();
+    (pool, neighbour, probe)
+}
+
+/// Drains one batch and checks that only the neighbour's decision lands,
+/// with no eviction.
+fn assert_neighbour_served(pool: &mut ServePool, neighbour: u64) {
+    let batch = pool.drain_batch().unwrap();
+    let served: Vec<u64> = batch.decisions.iter().map(|d| d.session_id).collect();
+    assert_eq!(served, vec![neighbour]);
+    assert!(batch.events.is_empty(), "events: {:?}", batch.events);
+}
+
+#[test]
+fn submit_refuses_non_finite_or_negative_flux() {
+    let (mut pool, neighbour, probe) = pool_with_neighbour();
+    // The grid's min/max folds skip a NaN, so the scan must see every cell.
+    for flux in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -100.0e4] {
+        for (die, cell) in [(0, 0), (1, 219), (0, 117)] {
+            let refused = pool.submit(probe, poisoned_trace(die, cell, flux));
+            assert!(
+                matches!(refused, Err(CoreError::InvalidConfig { .. })),
+                "flux {flux} at die {die} cell {cell}: {refused:?}"
+            );
+        }
+    }
+    assert_eq!(pool.queue_depth(probe).unwrap(), 0);
+    assert_eq!(pool.pending_total(), 1, "only the neighbour's phase");
+    assert_neighbour_served(&mut pool, neighbour);
+    // A healthy grid of the same construction is accepted.
+    let healthy = poisoned_trace(0, 0, 1.0e4);
+    pool.submit(probe, healthy).unwrap();
+    assert_eq!(pool.queue_depth(probe).unwrap(), 1);
+}
+
+#[test]
+fn submit_boundary_cases_refuse_without_touching_the_queue() {
+    let (mut pool, neighbour, probe) = pool_with_neighbour();
+    for duration in [0.0, -BOUNDARY_PHASE_SECONDS, f64::NAN, f64::INFINITY] {
+        let refused = pool.submit_level(probe, PowerLevel::Peak, duration);
+        assert!(
+            matches!(refused, Err(CoreError::InvalidConfig { .. })),
+            "duration {duration}: {refused:?}"
+        );
+    }
+    // A grid rasterized at another resolution than the pool's.
+    let config = small_config();
+    let wrong = arch_trace(
+        &ArchSpec::Arch1.architecture(),
+        &[PowerLevel::Peak],
+        BOUNDARY_PHASE_SECONDS,
+        config.nx / 2,
+        config.nz,
+    );
+    assert!(matches!(
+        pool.submit(probe, wrong),
+        Err(CoreError::InvalidConfig { .. })
+    ));
+    assert_eq!(pool.queue_depth(probe).unwrap(), 0);
+    assert_neighbour_served(&mut pool, neighbour);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn one_poisoned_cell_is_refused_at_submit(
+        die in 0usize..2,
+        cell in 0usize..220,
+        kind in 0usize..4,
+        magnitude in 1.0e-3f64..1.0e7,
+    ) {
+        let flux = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -magnitude][kind];
+        let mut pool = ServePool::new(serve_options(1, 1)).unwrap();
+        let id = pool.open(ArchSpec::Arch1).unwrap();
+        let refused = pool.submit(id, poisoned_trace(die, cell, flux));
+        prop_assert!(matches!(refused, Err(CoreError::InvalidConfig { .. })));
+        prop_assert_eq!(pool.queue_depth(id).unwrap(), 0);
+    }
+}
+
+#[test]
+fn restore_refuses_snapshots_that_do_not_fit_the_pool() {
+    let (mut pool, neighbour, probe) = pool_with_neighbour();
+    pool.close(probe).unwrap();
+    let width = |um: f64| WidthProfile::uniform(Length::from_micrometers(um));
+    let snapshot = |widths: Vec<Vec<WidthProfile>>| {
+        let mut snapshot = pinned_snapshot();
+        snapshot.session_id = 40;
+        snapshot.resume.as_mut().unwrap().widths = widths;
+        snapshot
+    };
+    let misfits = [
+        // The first cavity holds 3 profiles instead of the pool's 2 groups.
+        vec![vec![width(50.0); 3], vec![width(50.0); 2]],
+        // One cavity instead of two.
+        vec![vec![width(50.0); 2]],
+        // One profile short in the second cavity.
+        vec![vec![width(50.0); 2], vec![width(50.0)]],
+        // A NaN width in a piecewise profile.
+        vec![
+            vec![width(50.0); 2],
+            vec![
+                width(50.0),
+                WidthProfile::piecewise_constant(vec![
+                    Length::from_micrometers(40.0),
+                    Length::from_meters(f64::NAN),
+                ]),
+            ],
+        ],
+    ];
+    let before = (
+        pool.session_ids(),
+        pool.pending_total(),
+        pool.metrics().clone(),
+    );
+    for widths in misfits {
+        let refused = pool.restore(&snapshot(widths.clone()));
+        assert!(
+            matches!(refused, Err(CoreError::InvalidDocument { .. })),
+            "{widths:?}: {refused:?}"
+        );
+        let after = (
+            pool.session_ids(),
+            pool.pending_total(),
+            pool.metrics().clone(),
+        );
+        assert_eq!(after, before, "a refused restore leaves the pool unchanged");
+    }
+    // The neighbour's queued phase is still served, with no eviction.
+    assert_neighbour_served(&mut pool, neighbour);
+    // A snapshot whose widths fit is admitted.
+    let fits = snapshot(vec![vec![width(50.0); 2]; 2]);
+    assert_eq!(pool.restore(&fits).unwrap(), 40);
 }
