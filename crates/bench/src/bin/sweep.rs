@@ -186,7 +186,14 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         counters: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `args_os`: `std::env::args` panics on an argument that is not UTF-8.
+    let argv = std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string()
+                .map_err(|bad| format!("argument {bad:?} is not valid UTF-8"))
+        })
+        .collect::<Result<Vec<String>, String>>()?;
     let mut it = argv.into_iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {

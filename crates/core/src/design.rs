@@ -87,7 +87,7 @@ impl OptimizationConfig {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.segments == 0 {
             return Err(CoreError::InvalidConfig {
                 what: "segments must be ≥ 1".into(),
@@ -173,6 +173,60 @@ pub struct DesignWarmStart {
     pub equality_multipliers: Vec<f64>,
     /// Penalty parameter `μ` the previous solve finished at.
     pub penalty: f64,
+}
+
+impl DesignWarmStart {
+    /// What keeps this warm start from resuming a solve over `columns`
+    /// width columns of `segments` segments each, or `None` when it fits:
+    /// a point of dimension `columns · segments`, one pressure-cap
+    /// multiplier per column, one equal-pressure multiplier per column when
+    /// there are two or more (none otherwise), finite entries and a finite
+    /// positive penalty.
+    pub(crate) fn mismatch(&self, columns: usize, segments: usize) -> Option<String> {
+        let equality = if columns >= 2 { columns } else { 0 };
+        let counts = [
+            ("coordinates", self.x.len(), columns * segments),
+            (
+                "pressure-cap multipliers",
+                self.inequality_multipliers.len(),
+                columns,
+            ),
+            (
+                "equal-pressure multipliers",
+                self.equality_multipliers.len(),
+                equality,
+            ),
+        ];
+        if let Some((what, got, need)) = counts.into_iter().find(|&(_, got, need)| got != need) {
+            return Some(format!(
+                "warm start has {got} {what}, the problem needs {need}"
+            ));
+        }
+        if let Some(v) = self.values().find(|v| !v.is_finite()) {
+            return Some(format!("warm start holds a non-finite value ({v})"));
+        }
+        (self.penalty <= 0.0)
+            .then(|| format!("warm start penalty {} is not positive", self.penalty))
+    }
+
+    /// Every number of the warm start: the point, the multipliers and the
+    /// penalty.
+    fn values(&self) -> impl Iterator<Item = &f64> {
+        let multipliers = self.inequality_multipliers.iter();
+        let multipliers = multipliers.chain(&self.equality_multipliers);
+        self.x.iter().chain(multipliers).chain([&self.penalty])
+    }
+}
+
+/// Refuses a warm start holding a non-finite value: the solver would carry
+/// it into every evaluation.
+fn finite_warm_start<'a>(mut values: impl Iterator<Item = &'a f64>) -> Result<()> {
+    match values.find(|v| !v.is_finite()) {
+        Some(v) => Err(CoreError::InvalidConfig {
+            what: format!("warm start holds a non-finite value ({v})"),
+        }),
+        None => Ok(()),
+    }
 }
 
 struct WidthProblem<'a> {
@@ -367,12 +421,13 @@ pub fn optimize(model: &Model, config: &OptimizationConfig) -> Result<DesignOutc
 /// # Errors
 ///
 /// Same as [`optimize`]; additionally rejects a `start` of the wrong
-/// dimension.
+/// dimension or with a non-finite coordinate.
 pub fn optimize_warm(
     model: &Model,
     config: &OptimizationConfig,
     start: Option<&[f64]>,
 ) -> Result<DesignOutcome> {
+    finite_warm_start(start.into_iter().flatten())?;
     optimize_inner(model, config, start, None).map(|(outcome, _)| outcome)
 }
 
@@ -389,12 +444,14 @@ pub fn optimize_warm(
 ///
 /// # Errors
 ///
-/// Same as [`optimize_warm`].
+/// Same as [`optimize_warm`]; additionally rejects a warm start whose
+/// multipliers or penalty are not finite.
 pub fn optimize_resumed(
     model: &Model,
     config: &OptimizationConfig,
     warm: Option<&DesignWarmStart>,
 ) -> Result<(DesignOutcome, DesignWarmStart)> {
+    finite_warm_start(warm.into_iter().flat_map(DesignWarmStart::values))?;
     let dual = warm.map(|w| AugLagWarmStart {
         inequality_multipliers: w.inequality_multipliers.clone(),
         equality_multipliers: w.equality_multipliers.clone(),
@@ -607,6 +664,43 @@ mod tests {
             optimize(&model, &bad),
             Err(CoreError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn warm_starts_with_non_finite_values_are_refused() {
+        let model = strip(&ModelParams::date2012());
+        let config = OptimizationConfig {
+            segments: 2,
+            ..OptimizationConfig::fast()
+        };
+        for start in [[f64::NAN, 0.5], [0.5, f64::INFINITY]] {
+            assert!(matches!(
+                optimize_warm(&model, &config, Some(&start)),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+        }
+        let fits = DesignWarmStart {
+            x: vec![0.5, 0.5],
+            inequality_multipliers: vec![0.0],
+            equality_multipliers: vec![],
+            penalty: 10.0,
+        };
+        for broken in [
+            DesignWarmStart {
+                penalty: f64::NAN,
+                ..fits.clone()
+            },
+            DesignWarmStart {
+                inequality_multipliers: vec![f64::INFINITY],
+                ..fits.clone()
+            },
+        ] {
+            assert!(matches!(
+                optimize_resumed(&model, &config, Some(&broken)),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+        }
+        assert!(optimize_resumed(&model, &config, Some(&fits)).is_ok());
     }
 
     #[test]

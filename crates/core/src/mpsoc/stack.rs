@@ -2,19 +2,16 @@
 //! cavities.
 
 use super::load::MpsocLoad;
-use crate::design::{optimize_resumed, DesignWarmStart, OptimizationConfig};
+use crate::design::OptimizationConfig;
 use crate::transient::{
-    sample_widths_um, CavityProfiles, EpochCandidate, ModulatedStack, ModulationController,
-    ModulationPolicy,
+    validate_run, CavityProfiles, ModulatedStack, ModulationController, ModulationPolicy,
 };
 use crate::{bridge, CoreError, Result};
 use liquamod_floorplan::arch::Architecture;
 use liquamod_floorplan::FluxGrid;
 use liquamod_grid_sim::solver::SolverOptions;
-use liquamod_grid_sim::{CavitySpec, Material, Stack, StackBuilder, StepperKind};
-use liquamod_thermal_model::{
-    ChannelColumn, HeatProfile, Model, ModelParams, SolveOptions, SolveWorkspace, WidthProfile,
-};
+use liquamod_grid_sim::{CavitySpec, Material, Stack, StackBuilder, StepperKind, TransientOptions};
+use liquamod_thermal_model::{ChannelColumn, HeatProfile, Model, ModelParams, WidthProfile};
 use liquamod_units::Length;
 
 /// Configuration of one MPSoC modulation run.
@@ -22,8 +19,8 @@ use liquamod_units::Length;
 pub struct MpsocConfig {
     /// Model parameters (geometry, coolant, flow, width range).
     pub params: ModelParams,
-    /// Optimizer configuration used at each modulation epoch (`fd_threads`
-    /// is pinned to 1 inside the family, like every sweep path).
+    /// Optimizer configuration used at each modulation epoch
+    /// ([`ModulatedStack::optimize_epoch`] pins `fd_threads` to 1).
     pub optimizer: OptimizationConfig,
     /// Channel columns across the flow (`nx`): the finite-volume stack's
     /// channel count and the rasterization width. Full physical fidelity is
@@ -127,17 +124,23 @@ impl MpsocConfig {
                 ),
             });
         }
-        if self.nz == 0 {
-            return Err(CoreError::InvalidConfig {
-                what: "nz must be ≥ 1".into(),
-            });
+        validate_run(
+            &self.params,
+            &self.optimizer,
+            self.nz,
+            &self.plant_options(),
+        )
+    }
+
+    /// The plant stepping options of this configuration.
+    fn plant_options(&self) -> TransientOptions {
+        TransientOptions {
+            dt_seconds: self.dt_seconds,
+            steps: 1,
+            initial: None,
+            solver: self.solver.clone(),
+            stepper: self.stepper.clone(),
         }
-        if !(self.dt_seconds.is_finite() && self.dt_seconds > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                what: format!("dt must be positive, got {}", self.dt_seconds),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -148,9 +151,6 @@ impl MpsocConfig {
 #[derive(Debug, Clone)]
 pub struct MpsocModulated {
     config: MpsocConfig,
-    /// Epoch optimizer with `fd_threads` pinned to 1.
-    opt_config: OptimizationConfig,
-    solve: SolveOptions,
     die_width: Length,
     die_length: Length,
 }
@@ -160,8 +160,10 @@ impl MpsocModulated {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the configuration is inconsistent
-    /// (groups not dividing columns, empty grid, non-positive `dt`).
+    /// [`CoreError::InvalidConfig`] for a non-positive die extent or a
+    /// setting every run would fail on: groups not dividing columns, the
+    /// model parameters, the optimizer's segments or mesh, `nz`, `dt`, the
+    /// solver's tolerance or iteration cap, or the integrator's cells.
     pub fn new(die_width: Length, die_length: Length, config: MpsocConfig) -> Result<Self> {
         config.validate()?;
         if !(die_width.si() > 0.0 && die_length.si() > 0.0) {
@@ -170,11 +172,6 @@ impl MpsocModulated {
             });
         }
         Ok(Self {
-            opt_config: OptimizationConfig {
-                fd_threads: 1,
-                ..config.optimizer.clone()
-            },
-            solve: SolveOptions::with_mesh_intervals(config.optimizer.mesh_intervals),
             die_width,
             die_length,
             config,
@@ -197,8 +194,8 @@ impl MpsocModulated {
         &self.config
     }
 
-    /// Wraps the family in a [`ModulationController`] using the config's
-    /// clock and solver.
+    /// Wraps the family in a [`ModulationController`], which steps the
+    /// plant with the config's clock, solver and integrator.
     ///
     /// # Errors
     ///
@@ -207,10 +204,7 @@ impl MpsocModulated {
         self,
         policy: ModulationPolicy,
     ) -> Result<ModulationController<MpsocModulated>> {
-        let dt = self.config.dt_seconds;
-        let solver = self.config.solver.clone();
-        let stepper = self.config.stepper.clone();
-        Ok(ModulationController::for_stack(self, dt, solver, policy)?.with_stepper(stepper))
+        ModulationController::for_stack(self, policy)
     }
 
     fn group_size(&self) -> usize {
@@ -221,44 +215,6 @@ impl MpsocModulated {
     /// `factor` (the same aggregation the steady scenario uses).
     fn group_heat(&self, grid: &FluxGrid, group: usize, factor: f64) -> HeatProfile {
         bridge::group_heat_profile(grid, group, self.group_size(), factor)
-    }
-
-    /// The joint two-cavity reduced-order model for one phase's workload:
-    /// columns `0..n_groups` are cavity 1 (bottom die below it, top die
-    /// above), columns `n_groups..2·n_groups` are cavity 2 (top die below,
-    /// the unpowered cap above). The top die borders both cavities, so its
-    /// heat is split evenly between them — total model power equals total
-    /// die power, and one optimization couples all `2·n_groups` profiles
-    /// through the shared objective and the Eq. 10 equal-pressure
-    /// constraint (one pump feeds both cavities).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction failures.
-    pub fn reduced_model(&self, load: &MpsocLoad) -> Result<Model> {
-        let g = self.config.n_groups;
-        let gs = self.group_size();
-        let mut columns = Vec::with_capacity(2 * g);
-        for group in 0..g {
-            columns.push(
-                ChannelColumn::new(WidthProfile::uniform(self.config.params.w_max))
-                    .with_group_size(gs)
-                    .with_heat_bottom(self.group_heat(&load.bottom, group, 1.0))
-                    .with_heat_top(self.group_heat(&load.top, group, 0.5)),
-            );
-        }
-        for group in 0..g {
-            columns.push(
-                ChannelColumn::new(WidthProfile::uniform(self.config.params.w_max))
-                    .with_group_size(gs)
-                    .with_heat_bottom(self.group_heat(&load.top, group, 0.5)),
-            );
-        }
-        Ok(Model::new(
-            self.config.params.clone(),
-            self.die_length,
-            columns,
-        )?)
     }
 
     fn check_load(&self, load: &MpsocLoad) -> Result<()> {
@@ -321,46 +277,60 @@ impl ModulatedStack for MpsocModulated {
         Ok(stack)
     }
 
-    fn optimize_epoch(
-        &self,
-        load: &MpsocLoad,
-        incumbent: &CavityProfiles,
-        warm: Option<&DesignWarmStart>,
-        ws: &mut SolveWorkspace,
-    ) -> Result<EpochCandidate> {
-        self.check_load(load)?;
-        let model = self.reduced_model(load)?;
-        let (outcome, next_warm) = optimize_resumed(&model, &self.opt_config, warm)?;
-        let gradient_k = outcome.solution.thermal_gradient().as_kelvin();
-        // Score the incumbent on the same model (columns in cavity-major
-        // order, matching the candidate split below).
-        let mut incumbent_model = model;
-        for (c, profile) in incumbent.iter().flatten().enumerate() {
-            incumbent_model.set_width_profile(c, profile.clone())?;
-        }
-        let incumbent_gradient_k = incumbent_model
-            .solve_with(&self.solve, ws)?
-            .thermal_gradient()
-            .as_kelvin();
-        // Split the jointly optimized columns back into per-cavity profiles.
-        let g = self.config.n_groups;
-        let mut widths = outcome.widths;
-        let second = widths.split_off(g);
-        Ok(EpochCandidate {
-            widths: vec![widths, second],
-            warm: next_warm,
-            gradient_k,
-            incumbent_gradient_k,
-            evaluations: outcome.evaluations,
-        })
+    fn node_count(&self) -> usize {
+        // Bottom die, cavity, top die, cavity and cap.
+        5 * self.config.nx * self.config.nz
     }
 
-    fn sample_widths_um(&self, widths: &CavityProfiles) -> Vec<Vec<f64>> {
-        sample_widths_um(
-            widths.iter().flatten(),
-            self.opt_config.segments,
+    /// The joint two-cavity reduced-order model for one phase's workload:
+    /// columns `0..n_groups` are cavity 1 (bottom die below it, top die
+    /// above), columns `n_groups..2·n_groups` are cavity 2 (top die below,
+    /// the unpowered cap above). The top die borders both cavities, so its
+    /// heat is split evenly between them — total model power equals total
+    /// die power, and one optimization couples all `2·n_groups` profiles
+    /// through the shared objective and the Eq. 10 equal-pressure
+    /// constraint (one pump feeds both cavities).
+    fn reduced_model(&self, load: &MpsocLoad) -> Result<Model> {
+        self.check_load(load)?;
+        let g = self.config.n_groups;
+        let gs = self.group_size();
+        let mut columns = Vec::with_capacity(2 * g);
+        for group in 0..g {
+            columns.push(
+                ChannelColumn::new(WidthProfile::uniform(self.config.params.w_max))
+                    .with_group_size(gs)
+                    .with_heat_bottom(self.group_heat(&load.bottom, group, 1.0))
+                    .with_heat_top(self.group_heat(&load.top, group, 0.5)),
+            );
+        }
+        for group in 0..g {
+            columns.push(
+                ChannelColumn::new(WidthProfile::uniform(self.config.params.w_max))
+                    .with_group_size(gs)
+                    .with_heat_bottom(self.group_heat(&load.top, group, 0.5)),
+            );
+        }
+        Ok(Model::new(
+            self.config.params.clone(),
             self.die_length,
-        )
+            columns,
+        )?)
+    }
+
+    fn params(&self) -> &ModelParams {
+        &self.config.params
+    }
+
+    fn optimizer(&self) -> &OptimizationConfig {
+        &self.config.optimizer
+    }
+
+    fn channel_length(&self) -> Length {
+        self.die_length
+    }
+
+    fn plant_options(&self) -> TransientOptions {
+        self.config.plant_options()
     }
 }
 
@@ -368,6 +338,7 @@ impl ModulatedStack for MpsocModulated {
 mod tests {
     use super::*;
     use liquamod_floorplan::{arch, PowerLevel};
+    use liquamod_thermal_model::SolveWorkspace;
 
     /// A deliberately coarse configuration for unit tests: 20 columns in 2
     /// groups, 11 cells along the flow.

@@ -7,8 +7,8 @@
 //! are deterministic and gated bitwise; its *metrics* measure the wall
 //! clock and are therefore explicitly outside every identity gate. The
 //! histogram keeps fixed log-spaced buckets (factor 2 per bucket, 1 µs
-//! floor) so merging per-session histograms into a pool-wide one is an
-//! element-wise add and quantile queries never allocate.
+//! floor), so recording is a counter bump and quantile queries never
+//! allocate.
 
 /// Seconds spanned by the first histogram bucket (everything ≤ 1 µs).
 const BASE_SECONDS: f64 = 1e-6;
@@ -149,59 +149,13 @@ impl LatencyHistogram {
         }
         self.max_seconds
     }
-
-    /// Adds every sample of `other` into `self` (bucket-wise; the exact
-    /// min/max/sum side channels merge exactly).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_seconds += other.sum_seconds;
-        if other.count > 0 {
-            self.min_seconds = self.min_seconds.min(other.min_seconds);
-            self.max_seconds = self.max_seconds.max(other.max_seconds);
-        }
-    }
 }
 
-/// Per-session serve counters, updated once per width decision.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SessionMetrics {
-    /// Decision latency of every segment this session ran.
-    pub latency: LatencyHistogram,
-    /// Segments (width decisions) served.
-    pub segments: u64,
-    /// Modulation epochs across all served segments.
-    pub epochs: u64,
-    /// Optimizer objective evaluations across all served segments.
-    pub evaluations: u64,
-    /// Degraded-mode events surfaced by this session's runs.
-    pub degraded_events: u64,
-}
-
-impl SessionMetrics {
-    /// Folds one served segment into the counters.
-    pub fn record_decision(
-        &mut self,
-        latency_seconds: f64,
-        epochs: usize,
-        evaluations: usize,
-        degraded: usize,
-    ) {
-        self.latency.record(latency_seconds);
-        self.segments += 1;
-        self.epochs += epochs as u64;
-        self.evaluations += evaluations as u64;
-        self.degraded_events += degraded as u64;
-    }
-}
-
-/// Pool-wide serve counters: the union of every session's metrics plus
-/// lifecycle counts the sessions cannot see.
+/// Pool-wide serve counters: decision latency and work per served
+/// decision, plus the pool's lifecycle counts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolMetrics {
-    /// Decision latency across all sessions (merged histograms).
+    /// Decision latency across all sessions.
     pub latency: LatencyHistogram,
     /// Sessions opened over the pool's lifetime.
     pub sessions_opened: u64,
@@ -287,25 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_sample_union() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(1e-3);
-        b.record(4e-3);
-        b.record(2e-6);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.min_seconds(), 2e-6);
-        assert_eq!(merged.max_seconds(), 4e-3);
-        let mut all = LatencyHistogram::new();
-        for s in [1e-3, 4e-3, 2e-6] {
-            all.record(s);
-        }
-        assert_eq!(merged, all);
-    }
-
-    #[test]
     fn pathological_samples_count_without_poisoning_sums() {
         let mut h = LatencyHistogram::new();
         h.record(f64::NAN);
@@ -314,17 +249,5 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert!(h.mean_seconds().is_finite());
         assert_eq!(h.min_seconds(), 0.0);
-    }
-
-    #[test]
-    fn session_metrics_accumulate() {
-        let mut m = SessionMetrics::default();
-        m.record_decision(1e-3, 2, 40, 1);
-        m.record_decision(2e-3, 1, 10, 0);
-        assert_eq!(m.segments, 2);
-        assert_eq!(m.epochs, 3);
-        assert_eq!(m.evaluations, 50);
-        assert_eq!(m.degraded_events, 1);
-        assert_eq!(m.latency.count(), 2);
     }
 }

@@ -53,7 +53,7 @@ mod span;
 mod trace;
 
 pub use counters::{add, event, ObsEvent};
-pub use metrics::{LatencyHistogram, PoolMetrics, SessionMetrics};
+pub use metrics::{LatencyHistogram, PoolMetrics};
 pub use report::{ObsReport, SpanRecord};
 pub use span::{lane_span, span, SpanGuard};
 

@@ -41,17 +41,16 @@
 //! [`ModulationController::run_segment`]: crate::transient::ModulationController::run_segment
 
 /// Service metrics, re-exported from the shared observability layer
-/// ([`crate::obs`]) where [`LatencyHistogram`]/[`SessionMetrics`]/
-/// [`PoolMetrics`] now live — existing `serve::metrics` call sites and
-/// tests compile unchanged.
+/// ([`crate::obs`]) where [`LatencyHistogram`]/[`PoolMetrics`] now live —
+/// existing `serve::metrics` call sites and tests compile unchanged.
 pub mod metrics {
-    pub use crate::obs::{LatencyHistogram, PoolMetrics, SessionMetrics};
+    pub use crate::obs::{LatencyHistogram, PoolMetrics};
 }
 mod pool;
 mod session;
 mod soak;
 
-pub use metrics::{LatencyHistogram, PoolMetrics, SessionMetrics};
+pub use metrics::{LatencyHistogram, PoolMetrics};
 pub use pool::{ServeBatch, ServeOptions, ServePool, WidthDecision};
 pub use session::SessionSnapshot;
 pub use soak::{

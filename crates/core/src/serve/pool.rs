@@ -25,12 +25,10 @@ use crate::fleet::{
 };
 use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTrace};
 use crate::obs;
-use crate::serve::metrics::{PoolMetrics, SessionMetrics};
+use crate::serve::metrics::PoolMetrics;
 use crate::serve::session::{ServeSession, SessionSnapshot};
 use crate::sweep::parallel_map;
-use crate::transient::{
-    resume_widths_mismatch, ModulatedStack, ModulationPolicy, ResumeState, TransientOutcome,
-};
+use crate::transient::{resume_mismatch, ModulationPolicy, ResumeState, TransientOutcome};
 use crate::{CoreError, Result};
 
 /// Configuration of a [`ServePool`].
@@ -189,8 +187,9 @@ impl ServePool {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for an invalid base configuration,
-    /// a zero capacity or a non-positive average scale.
+    /// [`CoreError::InvalidConfig`] for a base configuration every session
+    /// would fail on (see [`MpsocModulated::new`]), a zero capacity or a
+    /// non-positive average scale.
     pub fn new(options: ServeOptions) -> Result<Self> {
         options.validate()?;
         let budget = PumpBudget::per_stack(options.avg_scale, options.planned_capacity);
@@ -268,15 +267,6 @@ impl ServePool {
     #[must_use]
     pub fn pending_total(&self) -> usize {
         self.sessions.values().map(ServeSession::queued_len).sum()
-    }
-
-    /// One session's metrics.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for an unknown session.
-    pub fn session_metrics(&self, id: u64) -> Result<&SessionMetrics> {
-        Ok(self.session(id)?.metrics())
     }
 
     fn session(&self, id: u64) -> Result<&ServeSession> {
@@ -363,9 +353,14 @@ impl ServePool {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when the snapshot's id is already live;
-    /// [`CoreError::InvalidDocument`] when its resume state does not fit the
-    /// pool's stacks (another cavity or profile count, or a non-finite
-    /// width). Either way the pool is left unchanged.
+    /// [`CoreError::InvalidDocument`] when the pool could not serve it: an
+    /// id it cannot advance past, a negative or non-finite clock, a
+    /// non-positive or non-finite last power, a non-finite predictor field,
+    /// or a resume state that does not fit the pool's stacks (see
+    /// [`ModulationController::run_segment`]). Either way the pool is left
+    /// unchanged.
+    ///
+    /// [`ModulationController::run_segment`]: crate::transient::ModulationController::run_segment
     pub fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<u64> {
         let id = snapshot.session_id;
         if self.sessions.contains_key(&id) {
@@ -373,14 +368,8 @@ impl ServePool {
                 what: format!("session {id} is already live; cannot restore over it"),
             });
         }
-        if let Some(resume) = &snapshot.resume {
-            let family = MpsocModulated::for_arch(
-                &snapshot.arch.architecture(),
-                self.options.config.clone(),
-            )?;
-            if let Some(what) = resume_widths_mismatch(&resume.widths, &family.uniform_widths()) {
-                return Err(CoreError::InvalidDocument { what });
-            }
+        if let Some(what) = self.snapshot_misfit(snapshot)? {
+            return Err(CoreError::InvalidDocument { what });
         }
         self.sessions
             .insert(id, ServeSession::from_snapshot(snapshot));
@@ -388,6 +377,41 @@ impl ServePool {
         self.metrics.sessions_opened += 1;
         self.revalidate_budget()?;
         Ok(id)
+    }
+
+    /// What keeps the pool from serving `snapshot`, or `None` when it fits.
+    fn snapshot_misfit(&self, snapshot: &SessionSnapshot) -> Result<Option<String>> {
+        let clock = snapshot.clock_seconds;
+        let p = &snapshot.predictor;
+        let misfit = if snapshot.session_id == u64::MAX {
+            Some("snapshot session id leaves no id to advance to".to_string())
+        } else if !(clock.is_finite() && clock >= 0.0) {
+            Some(format!(
+                "snapshot clock {clock} s must be finite and non-negative"
+            ))
+        } else if let Some(w) = snapshot
+            .last_power_w
+            .filter(|w| !(w.is_finite() && *w > 0.0))
+        {
+            Some(format!(
+                "snapshot last power {w} W must be finite and positive"
+            ))
+        } else if [p.slope_k_per_scale, p.last_share, p.last_gradient_k]
+            .iter()
+            .any(|v| !v.is_finite())
+        {
+            Some(format!("snapshot predictor state {p:?} must be finite"))
+        } else {
+            None
+        };
+        match (&misfit, &snapshot.resume) {
+            (None, Some(resume)) => {
+                let arch = snapshot.arch.architecture();
+                let family = MpsocModulated::for_arch(&arch, self.options.config.clone())?;
+                Ok(resume_mismatch(&family, resume))
+            }
+            _ => Ok(misfit),
+        }
     }
 
     /// Departs a session, returning its final snapshot (resumable later via
@@ -649,14 +673,7 @@ impl ServePool {
                         evaluations,
                         outcome,
                     };
-                    session.apply_decision(
-                        resume,
-                        duration,
-                        latency_seconds,
-                        epochs,
-                        evaluations,
-                        degraded,
-                    );
+                    session.apply_decision(resume, duration);
                     if self.options.budget_policy == BudgetPolicy::Predictive {
                         session.observe_prediction(task.share, gradient_k, power_w);
                     }

@@ -9,7 +9,6 @@ use std::collections::VecDeque;
 use crate::fleet::StackSurrogate;
 use crate::json::Json;
 use crate::mpsoc::{ArchSpec, MpsocTrace};
-use crate::serve::metrics::SessionMetrics;
 use crate::transient::ResumeState;
 use crate::{CoreError, Result};
 
@@ -46,7 +45,6 @@ pub(crate) struct ServeSession {
     resume: Option<ResumeState>,
     segments_done: usize,
     clock_seconds: f64,
-    metrics: SessionMetrics,
     /// The session's gradient-vs-flow-share sensitivity surrogate, refit
     /// from every served decision — the trace-unknown half of the pool's
     /// predictive allocation.
@@ -67,7 +65,6 @@ impl ServeSession {
             resume: None,
             segments_done: 0,
             clock_seconds: 0.0,
-            metrics: SessionMetrics::default(),
             predictor: StackSurrogate::default(),
             last_power_w: None,
         }
@@ -86,7 +83,6 @@ impl ServeSession {
             resume: snapshot.resume.clone(),
             segments_done: snapshot.segments_done,
             clock_seconds: snapshot.clock_seconds,
-            metrics: SessionMetrics::default(),
             predictor: snapshot.predictor,
             last_power_w: snapshot.last_power_w,
         }
@@ -116,10 +112,6 @@ impl ServeSession {
 
     pub(crate) fn clock_seconds(&self) -> f64 {
         self.clock_seconds
-    }
-
-    pub(crate) fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
     }
 
     /// The gradient feedback the allocator sees: the measured inter-layer
@@ -175,21 +167,11 @@ impl ServeSession {
     }
 
     /// Folds one served segment back into the session: the new resume
-    /// state, the clock advance, and the decision metrics.
-    pub(crate) fn apply_decision(
-        &mut self,
-        resume: ResumeState,
-        duration_seconds: f64,
-        latency_seconds: f64,
-        epochs: usize,
-        evaluations: usize,
-        degraded: usize,
-    ) {
+    /// state and the clock advance.
+    pub(crate) fn apply_decision(&mut self, resume: ResumeState, duration_seconds: f64) {
         self.resume = Some(resume);
         self.segments_done += 1;
         self.clock_seconds += duration_seconds;
-        self.metrics
-            .record_decision(latency_seconds, epochs, evaluations, degraded);
     }
 
     /// The restartable state of this session right now.
@@ -446,11 +428,10 @@ mod tests {
         assert_eq!(s.queued_len(), 0);
         assert_eq!(s.last_gradient_k(), 0.0);
         assert_eq!(s.forecast_power_ratio(), 1.0, "no history, no lookahead");
-        s.apply_decision(sample_resume(), 0.032, 1e-3, 2, 20, 1);
+        s.apply_decision(sample_resume(), 0.032);
         assert_eq!(s.segments_done(), 1);
         assert_eq!(s.clock_seconds(), 0.032);
         assert_eq!(s.last_gradient_k(), 4.25);
-        assert_eq!(s.metrics().segments, 1);
         // Two decisions at different shares refit the predictor; the state
         // survives snapshot → restore.
         s.observe_prediction(1.0, 10.0, 50.0);

@@ -10,8 +10,11 @@
 //! subsequent steps.
 //!
 //! The controller is generic over a [`ModulatedStack`]: the *stack family*
-//! that knows how to build the finite-volume stack for a workload + widths
-//! and how to run the §IV optimizer for one epoch. Two families ship:
+//! that supplies its geometry (starting widths, the finite-volume stack and
+//! the §III reduced model of a workload) and its configuration's settings
+//! (optimizer, channel length, plant stepping). The epoch step itself is
+//! written once, as the trait's provided
+//! [`ModulatedStack::optimize_epoch`]. Two families ship:
 //!
 //! * [`StripModulated`] — the Fig. 2 single-channel test strip driven by
 //!   [`StripTrace`]s (Tests A/B);
@@ -29,8 +32,9 @@
 //! 3. rebuild the finite-volume stack if the widths or the power map
 //!    changed, handing the node temperatures over exactly
 //!    ([`liquamod_grid_sim::TransientStepper::set_state`]); rebuilds go
-//!    through a [`liquamod_grid_sim::AssemblyCache`], so an epoch that only
-//!    modulated the widths reassembles only the cavity layers' rows;
+//!    through a [`liquamod_grid_sim::AssemblyCache`], which keeps the
+//!    sparsity pattern, so a rebuild on the same grid skips the symbolic
+//!    sort;
 //! 4. advance one implicit step and record a [`TransientSnapshot`].
 //!
 //! [`run_transient_sweep`] fans whole scenarios (trace × flow-scale
@@ -55,7 +59,7 @@ use liquamod_grid_sim::{
     AssemblyCache, CavitySpec, Material, PowerMap, Stack, StackBuilder, StepperKind,
     TransientOptions,
 };
-use liquamod_thermal_model::{ModelParams, SolveOptions, SolveWorkspace, WidthProfile};
+use liquamod_thermal_model::{Model, ModelParams, SolveOptions, SolveWorkspace, WidthProfile};
 use liquamod_units::{Length, Power};
 use std::time::{Duration, Instant};
 
@@ -234,28 +238,56 @@ impl ResumeState {
     }
 }
 
-/// What keeps `widths` from resuming a run of a stack family whose starting
-/// profiles are `uniform` ([`ModulatedStack::uniform_widths`]): another
-/// cavity count, another number of profiles in some cavity, or a
-/// non-finite width. `None` when they fit.
-pub(crate) fn resume_widths_mismatch(
-    widths: &CavityProfiles,
-    uniform: &CavityProfiles,
+/// What keeps `resume` from continuing a run of `family`, or `None` when
+/// it fits. A fitting resume state has the family's width profile count
+/// per cavity, widths inside `(0, pitch)`, one finite temperature per
+/// finite-volume node, a finite non-negative last gradient and — when a
+/// warm start rides along — the epoch optimizer's dimension, multiplier
+/// counts and finite dual state ([`DesignWarmStart::mismatch`]). Cheap: no
+/// stack is built or assembled.
+pub(crate) fn resume_mismatch<S: ModulatedStack>(
+    family: &S,
+    resume: &ResumeState,
 ) -> Option<String> {
     let shape = |p: &CavityProfiles| p.iter().map(Vec::len).collect::<Vec<_>>();
-    if shape(widths) != shape(uniform) {
+    let uniform = shape(&family.uniform_widths());
+    if shape(&resume.widths) != uniform {
         return Some(format!(
-            "resume state has {:?} width profiles per cavity, the stack has {:?}",
-            shape(widths),
-            shape(uniform)
+            "resume state has {:?} width profiles per cavity, the stack has {uniform:?}",
+            shape(&resume.widths)
         ));
     }
-    widths
+    let pitch = family.params().pitch.si();
+    let widths = resume
+        .widths
         .iter()
         .flatten()
-        .flat_map(WidthProfile::values)
-        .find(|w| !w.is_finite())
-        .map(|w| format!("resume state holds a non-finite width ({} m)", w.si()))
+        .flat_map(WidthProfile::values);
+    if let Some(w) = widths.map(|w| w.si()).find(|&w| !(w > 0.0 && w < pitch)) {
+        return Some(format!(
+            "resume state holds a width of {w} m outside (0, {pitch} m)"
+        ));
+    }
+    let nodes = family.node_count();
+    if resume.state.len() != nodes {
+        return Some(format!(
+            "resume state holds {} node temperatures, the stack has {nodes} nodes",
+            resume.state.len()
+        ));
+    }
+    if let Some(t) = resume.state.iter().find(|t| !t.is_finite()) {
+        return Some(format!(
+            "resume state holds a non-finite node temperature ({t})"
+        ));
+    }
+    let gradient = resume.last_gradient_k;
+    if !(gradient.is_finite() && gradient >= 0.0) {
+        return Some(format!(
+            "resume state's last gradient must be finite and non-negative, got {gradient} K"
+        ));
+    }
+    let warm = resume.warm.as_ref()?;
+    warm.mismatch(uniform.iter().sum(), family.optimizer().segments)
 }
 
 /// What one epoch's optimizer run produced, plus the incumbent's score on
@@ -282,6 +314,12 @@ pub struct EpochCandidate {
 /// between a trace's workload payloads and the analytical/finite-volume
 /// model pair the modulation loop runs on.
 ///
+/// A family supplies only its geometry (starting widths, the finite-volume
+/// stack and the §III reduced model) and its configuration's settings
+/// (model parameters, optimizer, channel length and plant stepping). The
+/// epoch step ([`ModulatedStack::optimize_epoch`]) and the record sampling
+/// ([`ModulatedStack::sample_widths_um`]) are written once, here.
+///
 /// Implementations must be deterministic pure functions of their inputs —
 /// that is what extends the sweep engines' parallel == serial bitwise
 /// guarantee to every family.
@@ -306,9 +344,39 @@ pub trait ModulatedStack {
     /// Propagates stack-construction failures.
     fn build_stack(&self, load: &Self::Load, widths: &CavityProfiles) -> Result<Stack>;
 
-    /// Runs one epoch's §IV optimization against `load`'s analytical model
-    /// (warm-started from `warm`) and scores the incumbent profiles on the
-    /// same model, reusing `ws` for the solve buffers.
+    /// Node count of every stack [`ModulatedStack::build_stack`] returns
+    /// (layers × columns × cells): the length of a resume state's node
+    /// temperatures.
+    fn node_count(&self) -> usize;
+
+    /// The §III reduced-order model of one phase's workload, its columns in
+    /// cavity-major order ([`ModulatedStack::uniform_widths`] flattened).
+    ///
+    /// # Errors
+    ///
+    /// Propagates load-check and model-construction failures.
+    fn reduced_model(&self, load: &Self::Load) -> Result<Model>;
+
+    /// The model parameters (geometry, coolant, flow, width range) both
+    /// models are built from.
+    fn params(&self) -> &ModelParams;
+
+    /// The epoch optimizer's configuration.
+    fn optimizer(&self) -> &OptimizationConfig;
+
+    /// Channel length along the flow.
+    fn channel_length(&self) -> Length;
+
+    /// How the plant is stepped: the time step, the linear solver and the
+    /// integrator (`steps` and `initial` are not read).
+    fn plant_options(&self) -> TransientOptions;
+
+    /// Runs one epoch's §IV optimization against `load`'s reduced model
+    /// (warm-started from `warm`), scores the incumbent profiles on the
+    /// same model reusing `ws` for the solve buffers, and splits the
+    /// optimized columns back per cavity. The optimizer runs with
+    /// `fd_threads` pinned to 1: scenario-level parallelism owns the cores
+    /// and results stay independent of the execution mode.
     ///
     /// # Errors
     ///
@@ -319,11 +387,61 @@ pub trait ModulatedStack {
         incumbent: &CavityProfiles,
         warm: Option<&DesignWarmStart>,
         ws: &mut SolveWorkspace,
-    ) -> Result<EpochCandidate>;
+    ) -> Result<EpochCandidate> {
+        let model = self.reduced_model(load)?;
+        let config = OptimizationConfig {
+            fd_threads: 1,
+            ..self.optimizer().clone()
+        };
+        let (outcome, next_warm) = optimize_resumed(&model, &config, warm)?;
+        let gradient_k = outcome.solution.thermal_gradient().as_kelvin();
+        // The optimizer is done with the base model: reuse it for the
+        // incumbent evaluation instead of cloning.
+        let mut incumbent_model = model;
+        for (c, profile) in incumbent.iter().flatten().enumerate() {
+            incumbent_model.set_width_profile(c, profile.clone())?;
+        }
+        let incumbent_gradient_k = incumbent_model
+            .solve_with(
+                &SolveOptions::with_mesh_intervals(config.mesh_intervals),
+                ws,
+            )?
+            .thermal_gradient()
+            .as_kelvin();
+        let mut columns = outcome.widths.into_iter();
+        let widths = self
+            .uniform_widths()
+            .iter()
+            .map(|cavity| columns.by_ref().take(cavity.len()).collect())
+            .collect();
+        Ok(EpochCandidate {
+            widths,
+            warm: next_warm,
+            gradient_k,
+            incumbent_gradient_k,
+            evaluations: outcome.evaluations,
+        })
+    }
 
-    /// Samples the profiles for an [`EpochRecord`], in µm: one row per
-    /// (cavity, column) pair, in cavity-major order.
-    fn sample_widths_um(&self, widths: &CavityProfiles) -> Vec<Vec<f64>>;
+    /// Samples the profiles for an [`EpochRecord`] at the optimizer's
+    /// segment centres along the channel, in µm: one row per (cavity,
+    /// column) pair, in cavity-major order.
+    fn sample_widths_um(&self, widths: &CavityProfiles) -> Vec<Vec<f64>> {
+        let segments = self.optimizer().segments;
+        let d = self.channel_length();
+        widths
+            .iter()
+            .flatten()
+            .map(|p| {
+                (0..segments)
+                    .map(|k| {
+                        let z = Length::from_meters((k as f64 + 0.5) * d.si() / segments as f64);
+                        p.width_at(z, d).as_micrometers()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Configuration shared by every transient strip run.
@@ -331,9 +449,8 @@ pub trait ModulatedStack {
 pub struct TransientConfig {
     /// Model parameters (geometry, coolant, flow, width range).
     pub params: ModelParams,
-    /// Optimizer configuration used at each modulation epoch. The
-    /// controller pins `fd_threads` to 1 so scenario-level parallelism owns
-    /// the cores and results are independent of the execution mode.
+    /// Optimizer configuration used at each modulation epoch
+    /// ([`ModulatedStack::optimize_epoch`] pins `fd_threads` to 1).
     pub optimizer: OptimizationConfig,
     /// Backward-Euler time step, seconds.
     pub dt_seconds: f64,
@@ -367,17 +484,23 @@ impl TransientConfig {
     }
 
     fn validate(&self) -> Result<()> {
-        if !(self.dt_seconds.is_finite() && self.dt_seconds > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                what: format!("dt must be positive, got {}", self.dt_seconds),
-            });
+        validate_run(
+            &self.params,
+            &self.optimizer,
+            self.nz,
+            &self.plant_options(),
+        )
+    }
+
+    /// The plant stepping options of this configuration.
+    fn plant_options(&self) -> TransientOptions {
+        TransientOptions {
+            dt_seconds: self.dt_seconds,
+            steps: 1,
+            initial: None,
+            solver: self.solver.clone(),
+            stepper: self.stepper.clone(),
         }
-        if self.nz == 0 {
-            return Err(CoreError::InvalidConfig {
-                what: "nz must be ≥ 1".into(),
-            });
-        }
-        Ok(())
     }
 
     /// The configuration with the per-channel coolant flow scaled by
@@ -407,6 +530,51 @@ pub(crate) fn scale_flow(
         });
     }
     Ok(if scale == 1.0 { rate } else { rate * scale })
+}
+
+/// Checks every setting a modulation run reads, shared by the strip and
+/// MPSoC configurations: the model parameters, the optimizer's segments and
+/// mesh, the cells along the flow, and the plant's time step, linear solver
+/// and integrator — so a configuration every run would fail on is refused
+/// at construction.
+pub(crate) fn validate_run(
+    params: &ModelParams,
+    optimizer: &OptimizationConfig,
+    nz: usize,
+    plant: &TransientOptions,
+) -> Result<()> {
+    let invalid = |what: String| Err(CoreError::InvalidConfig { what });
+    let errors = params.validation_errors();
+    if !errors.is_empty() {
+        return invalid(format!("invalid model parameters: {}", errors.join("; ")));
+    }
+    optimizer.validate()?;
+    if nz == 0 {
+        return invalid("nz must be ≥ 1".into());
+    }
+    let dt = plant.dt_seconds;
+    if !(dt.is_finite() && dt > 0.0) {
+        return invalid(format!("dt must be positive, got {dt}"));
+    }
+    let solver = &plant.solver;
+    if !(solver.tolerance.is_finite() && solver.tolerance > 0.0) {
+        return invalid(format!(
+            "solver tolerance must be positive and finite, got {}",
+            solver.tolerance
+        ));
+    }
+    if solver.max_iterations == 0 {
+        return invalid("solver max_iterations must be ≥ 1".into());
+    }
+    if let StepperKind::Exponential(cells) = &plant.stepper {
+        if cells.x_cells == 0 || cells.z_cells == 0 {
+            return invalid(format!(
+                "exponential stepper needs ≥ 1 cell each way, got {} x {}",
+                cells.x_cells, cells.z_cells
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// When a modulated controller re-optimizes the widths.
@@ -628,13 +796,7 @@ impl TransientOutcome {
 /// [`ModulatedStack`] abstraction was generalized from.
 #[derive(Debug, Clone)]
 pub struct StripModulated {
-    params: ModelParams,
-    /// Epoch optimizer with `fd_threads` pinned to 1: scenario-level
-    /// parallelism owns the cores and results stay independent of the
-    /// execution mode.
-    opt_config: OptimizationConfig,
-    solve: SolveOptions,
-    nz: usize,
+    config: TransientConfig,
 }
 
 impl StripModulated {
@@ -642,17 +804,13 @@ impl StripModulated {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for a non-positive `dt` or a zero `nz`.
+    /// [`CoreError::InvalidConfig`] for a setting every run would fail on:
+    /// the model parameters, the optimizer's segments or mesh, `nz`, `dt`,
+    /// the solver's tolerance or iteration cap, or the integrator's cells.
     pub fn new(config: &TransientConfig) -> Result<Self> {
         config.validate()?;
         Ok(Self {
-            params: config.params.clone(),
-            opt_config: OptimizationConfig {
-                fd_threads: 1,
-                ..config.optimizer.clone()
-            },
-            solve: SolveOptions::with_mesh_intervals(config.optimizer.mesh_intervals),
-            nz: config.nz,
+            config: config.clone(),
         })
     }
 }
@@ -661,7 +819,7 @@ impl ModulatedStack for StripModulated {
     type Load = StripLoad;
 
     fn uniform_widths(&self) -> CavityProfiles {
-        vec![vec![WidthProfile::uniform(self.params.w_max)]]
+        vec![vec![WidthProfile::uniform(self.config.params.w_max)]]
     }
 
     fn load_is_idle(&self, load: &StripLoad) -> bool {
@@ -669,42 +827,32 @@ impl ModulatedStack for StripModulated {
     }
 
     fn build_stack(&self, load: &StripLoad, widths: &CavityProfiles) -> Result<Stack> {
-        strip_stack(load, &self.params, &widths[0], self.nz)
+        strip_stack(load, &self.config.params, &widths[0], self.config.nz)
     }
 
-    fn optimize_epoch(
-        &self,
-        load: &StripLoad,
-        incumbent: &CavityProfiles,
-        warm: Option<&DesignWarmStart>,
-        ws: &mut SolveWorkspace,
-    ) -> Result<EpochCandidate> {
-        let model = strip_model(load, &self.params)?;
-        let (outcome, next_warm) = optimize_resumed(&model, &self.opt_config, warm)?;
-        let gradient_k = outcome.solution.thermal_gradient().as_kelvin();
-        // The optimizer is done with the base model: reuse it for the
-        // incumbent evaluation instead of cloning.
-        let mut incumbent_model = model;
-        incumbent_model.set_width_profile(0, incumbent[0][0].clone())?;
-        let incumbent_gradient_k = incumbent_model
-            .solve_with(&self.solve, ws)?
-            .thermal_gradient()
-            .as_kelvin();
-        Ok(EpochCandidate {
-            widths: vec![outcome.widths],
-            warm: next_warm,
-            gradient_k,
-            incumbent_gradient_k,
-            evaluations: outcome.evaluations,
-        })
+    fn node_count(&self) -> usize {
+        // Bottom strip, cavity and top strip, one channel pitch wide.
+        3 * self.config.nz
     }
 
-    fn sample_widths_um(&self, widths: &CavityProfiles) -> Vec<Vec<f64>> {
-        sample_widths_um(
-            widths.iter().flatten(),
-            self.opt_config.segments,
-            strip_length(),
-        )
+    fn reduced_model(&self, load: &StripLoad) -> Result<Model> {
+        strip_model(load, &self.config.params)
+    }
+
+    fn params(&self) -> &ModelParams {
+        &self.config.params
+    }
+
+    fn optimizer(&self) -> &OptimizationConfig {
+        &self.config.optimizer
+    }
+
+    fn channel_length(&self) -> Length {
+        strip_length()
+    }
+
+    fn plant_options(&self) -> TransientOptions {
+        self.config.plant_options()
     }
 }
 
@@ -715,9 +863,6 @@ impl ModulatedStack for StripModulated {
 #[derive(Debug, Clone)]
 pub struct ModulationController<S: ModulatedStack = StripModulated> {
     family: S,
-    dt_seconds: f64,
-    solver: SolverOptions,
-    stepper: StepperKind,
     policy: ModulationPolicy,
 }
 
@@ -727,53 +872,32 @@ impl ModulationController<StripModulated> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for a non-positive `dt`, a zero `nz`
-    /// or an invalid epoch policy (zero `epoch_steps`).
+    /// [`CoreError::InvalidConfig`] for a configuration
+    /// [`StripModulated::new`] refuses or an invalid epoch policy (zero
+    /// `epoch_steps`).
     pub fn new(config: TransientConfig, policy: ModulationPolicy) -> Result<Self> {
-        let stepper = config.stepper.clone();
-        Ok(Self::for_stack(
-            StripModulated::new(&config)?,
-            config.dt_seconds,
-            config.solver,
-            policy,
-        )?
-        .with_stepper(stepper))
+        Self::for_stack(StripModulated::new(&config)?, policy)
     }
 }
 
 impl<S: ModulatedStack> ModulationController<S> {
-    /// Builds a controller for any stack family.
+    /// Builds a controller for any stack family; the time step, linear
+    /// solver and integrator come from the family's
+    /// [`ModulatedStack::plant_options`].
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] for a non-positive `dt` or an invalid
     /// epoch policy.
-    pub fn for_stack(
-        family: S,
-        dt_seconds: f64,
-        solver: SolverOptions,
-        policy: ModulationPolicy,
-    ) -> Result<Self> {
+    pub fn for_stack(family: S, policy: ModulationPolicy) -> Result<Self> {
+        let dt_seconds = family.plant_options().dt_seconds;
         if !(dt_seconds.is_finite() && dt_seconds > 0.0) {
             return Err(CoreError::InvalidConfig {
                 what: format!("dt must be positive, got {dt_seconds}"),
             });
         }
         policy.validate()?;
-        Ok(Self {
-            family,
-            dt_seconds,
-            solver,
-            stepper: StepperKind::BackwardEuler,
-            policy,
-        })
-    }
-
-    /// Replaces the integrator backend (backward Euler unless overridden).
-    #[must_use]
-    pub fn with_stepper(mut self, stepper: StepperKind) -> Self {
-        self.stepper = stepper;
-        self
+        Ok(Self { family, policy })
     }
 
     /// The policy this controller applies at epoch boundaries.
@@ -847,10 +971,13 @@ impl<S: ModulatedStack> ModulationController<S> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when `resume`'s widths do not fit the
-    /// family (another cavity or profile count, or a non-finite width);
-    /// otherwise propagates model-construction, optimizer and stepper
-    /// failures (optimizer failures only when `tolerant` is off).
+    /// [`CoreError::InvalidConfig`] when `resume` does not fit the family
+    /// (another cavity or profile count, a width outside `(0, pitch)`, a
+    /// node state of another length or with a non-finite entry, a negative
+    /// or non-finite last gradient, or a warm start of another shape or
+    /// with a non-finite dual state); otherwise propagates
+    /// model-construction, optimizer and stepper failures (optimizer
+    /// failures only when `tolerant` is off).
     pub fn run_segment(
         &self,
         trace: &PowerTrace<S::Load>,
@@ -858,22 +985,22 @@ impl<S: ModulatedStack> ModulationController<S> {
         faults: &SegmentFaults,
         plant: Option<&S>,
     ) -> Result<(TransientOutcome, ResumeState)> {
-        let dt = self.dt_seconds;
+        let stepping = self.family.plant_options();
+        let dt = stepping.dt_seconds;
         if trace.phases().is_empty() {
             return Err(CoreError::InvalidConfig {
                 what: "a transient run needs at least one trace phase".into(),
             });
         }
         let total_steps = ((trace.total_duration_seconds() / dt).round() as usize).max(1);
-        let uniform = self.family.uniform_widths();
         let (mut state, widths, warm, resume_gradient_k) = match resume {
             Some(r) => {
-                if let Some(what) = resume_widths_mismatch(&r.widths, &uniform) {
+                if let Some(what) = resume_mismatch(&self.family, &r) {
                     return Err(CoreError::InvalidConfig { what });
                 }
                 (Some(r.state), r.widths, r.warm, r.last_gradient_k)
             }
-            None => (None, uniform, None, 0.0),
+            None => (None, self.family.uniform_widths(), None, 0.0),
         };
         let plant_family = plant.unwrap_or(&self.family);
         // Under a stuck valve the plant's widths stay frozen at the entry
@@ -908,9 +1035,9 @@ impl<S: ModulatedStack> ModulationController<S> {
             dt,
         };
         let mut snapshots: Vec<TransientSnapshot> = Vec::with_capacity(total_steps);
-        // Stack rebuilds share an assembly cache: layers whose description
-        // did not change (everything but the cavities, at a widths-only
-        // epoch) keep their assembled rows.
+        // Stack rebuilds share an assembly cache: a rebuild on the same grid
+        // and layer structure replays its rows into the cached sparsity
+        // pattern instead of sorting them again.
         let mut asm_cache = AssemblyCache::new();
 
         let mut n = 0usize;
@@ -952,16 +1079,7 @@ impl<S: ModulatedStack> ModulationController<S> {
             let symbolic_before = asm_cache.symbolic_builds();
             let stack =
                 plant_family.build_stack(load, frozen_widths.as_ref().unwrap_or(&ctx.widths))?;
-            let mut stepper = stack.transient_stepper_cached(
-                &TransientOptions {
-                    dt_seconds: dt,
-                    steps: 1,
-                    initial: None,
-                    solver: self.solver.clone(),
-                    stepper: self.stepper.clone(),
-                },
-                &mut asm_cache,
-            )?;
+            let mut stepper = stack.transient_stepper_cached(&stepping, &mut asm_cache)?;
             obs::add(
                 "assembly.values_only_refreshes",
                 (asm_cache.values_refreshes() - values_before) as u64,
@@ -972,7 +1090,7 @@ impl<S: ModulatedStack> ModulationController<S> {
             );
             // `stepper_from_assembly` condenses a fresh exponential
             // propagator per stepper construction.
-            if matches!(self.stepper, StepperKind::Exponential(_)) {
+            if matches!(stepping.stepper, StepperKind::Exponential(_)) {
                 obs::add("expstep.matrix_rebuilds", 1);
             }
             drop(rebuild_span);
@@ -1137,24 +1255,6 @@ impl<S: ModulatedStack> EpochContext<'_, S> {
         });
         Ok(adopted)
     }
-}
-
-/// Samples width profiles at `segments` cell centres per column, in µm.
-pub(crate) fn sample_widths_um<'a>(
-    profiles: impl Iterator<Item = &'a WidthProfile>,
-    segments: usize,
-    d: Length,
-) -> Vec<Vec<f64>> {
-    profiles
-        .map(|p| {
-            (0..segments)
-                .map(|k| {
-                    let z = Length::from_meters((k as f64 + 0.5) * d.si() / segments as f64);
-                    p.width_at(z, d).as_micrometers()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Builds the finite-volume twin of [`strip_model`]: one channel pitch
@@ -1593,6 +1693,46 @@ mod tests {
             c.policy(),
             ModulationPolicy::Modulated(EpochPolicy::FixedCadence { epoch_steps: 4 })
         );
+    }
+
+    #[test]
+    fn run_segment_refuses_a_resume_state_that_does_not_fit() {
+        let config = tiny_config();
+        let trace = trace::test_a_step(4.0 * config.dt_seconds, 1.5);
+        let controller = ModulationController::new(config, ModulationPolicy::every(4)).unwrap();
+        let healthy = SegmentFaults::default();
+        let (_, fits) = controller
+            .run_segment(&trace, None, &healthy, None)
+            .unwrap();
+        assert!(fits.warm.is_some(), "an epoch was adopted");
+        type Defect = fn(&mut ResumeState);
+        let defects: [(&str, Defect); 5] = [
+            ("a short node state", |r| {
+                r.state.pop();
+            }),
+            ("a NaN node temperature", |r| r.state[0] = f64::NAN),
+            ("a width at the full pitch", |r| {
+                r.widths[0][0] = WidthProfile::uniform(ModelParams::date2012().pitch);
+            }),
+            ("an equal-pressure multiplier on one column", |r| {
+                r.warm.as_mut().unwrap().equality_multipliers.push(0.0);
+            }),
+            ("a NaN penalty", |r| {
+                r.warm.as_mut().unwrap().penalty = f64::NAN
+            }),
+        ];
+        for (what, defect) in defects {
+            let mut broken = fits.clone();
+            defect(&mut broken);
+            let refused = controller.run_segment(&trace, Some(broken), &healthy, None);
+            assert!(
+                matches!(refused, Err(CoreError::InvalidConfig { .. })),
+                "{what}: {refused:?}"
+            );
+        }
+        assert!(controller
+            .run_segment(&trace, Some(fits), &healthy, None)
+            .is_ok());
     }
 
     #[test]

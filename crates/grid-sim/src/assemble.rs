@@ -20,11 +20,12 @@
 //! The assembly is generated **per layer** ([`Stack::layer_block`]): each
 //! layer owns a contiguous block of triplets, right-hand-side entries and
 //! capacitances, and the full [`Assembly`] is the in-order concatenation of
-//! the blocks. Because [`crate::sparse::TripletMatrix::to_csr`] sums
-//! duplicates in insertion order (its sort is stable), regenerating a single
-//! layer's block and re-concatenating reproduces the full rebuild **bitwise**
-//! — which is what [`AssemblyCache`] exploits: between transient epochs that
-//! only change cavity widths, only the cavity layers' rows are recomputed.
+//! the blocks. [`crate::sparse::TripletMatrix::to_csr`] sums duplicates in
+//! insertion order (its sort is stable), so replaying a regenerated
+//! sequence of blocks into a recorded [`CsrPattern`] reproduces the full
+//! compression **bitwise** — which is what [`AssemblyCache`] exploits:
+//! between transient rebuilds on one grid and layer structure, the
+//! sparsity pattern is kept and the symbolic sort is skipped.
 
 use crate::sparse::{CsrMatrix, CsrPattern, TripletMatrix};
 use crate::stack::{CavitySpec, Layer, Stack};
@@ -110,8 +111,8 @@ impl Stack {
 
     /// Generates layer `l`'s block. The emission order inside a block — and
     /// the block order inside [`Stack::assemble`] — is the contract that
-    /// keeps cached partial rebuilds bitwise identical to full rebuilds; do
-    /// not reorder.
+    /// keeps cached refreshes bitwise identical to full rebuilds; do not
+    /// reorder.
     fn layer_block(&self, l: usize) -> LayerBlock {
         let nx = self.nx;
         let nz = self.nz;
@@ -222,49 +223,35 @@ impl Stack {
     }
 }
 
-/// Caches per-layer assembly blocks across [`Stack`] rebuilds so a driver
-/// that swaps stacks mid-run (the transient modulation controller) only
-/// pays for the layers that actually changed.
+/// Keeps the compressed-sparse-row (CSR) sparsity pattern across
+/// [`Stack`] rebuilds, so a driver that swaps stacks mid-run (the transient
+/// modulation controller) skips the symbolic sort whenever the structure is
+/// unchanged.
 ///
-/// The cache compares the new stack against the one it last assembled:
+/// Every assembly regenerates all layer blocks and replays them into the
+/// cached pattern, checking each emission's coordinates on the way. New
+/// widths or power maps on the same grid and layer structure keep the
+/// coordinate sequence (they move conductance *values*), so the replay is a
+/// values-only refresh. A stack whose coordinates differ — another grid or
+/// layer structure, or a width that removes an emission — fails the check
+/// and falls back to a symbolic build, which records the new pattern.
 ///
-/// * identical grid/extents/inlet and per-layer equality → all blocks
-///   reused;
-/// * a changed layer (e.g. new cavity widths, new power map) invalidates its
-///   own block plus any neighbour whose conductances depend on it (solids
-///   read the geometry of the solid above; cavities read the geometry of
-///   both neighbours) — so an epoch that only modulates channel widths
-///   regenerates only the cavity layers' rows;
-/// * a different layer structure (count, solid/cavity kinds, grid) falls
-///   back to a full rebuild.
-///
-/// Partial and full rebuilds are **bitwise identical** (locked down by a
-/// regression test): blocks are concatenated in layer order and triplet
-/// summation is stable, so reusing unchanged blocks replays exactly the
-/// floating-point operations of a fresh assembly.
+/// Refreshed and symbolic assemblies are **bitwise identical** to a fresh
+/// assembly of the stack (locked down by regression tests and a
+/// proptest): the replay sums every triplet in emission order, exactly as
+/// the stable sort of a fresh compression does.
 #[derive(Debug, Default)]
 pub struct AssemblyCache {
-    snapshot: Option<Stack>,
-    blocks: Vec<LayerBlock>,
-    /// Sparsity pattern of the last symbolic compression. A rebuild whose
-    /// regenerated blocks emit the same nonzero coordinates replays values
-    /// straight into this pattern — no sort, no structural allocation.
     pattern: Option<CsrPattern>,
     values_refreshes: usize,
     symbolic_builds: usize,
 }
 
 impl AssemblyCache {
-    /// An empty cache; the first assembly through it is a full build.
+    /// An empty cache; the first assembly through it is a symbolic build.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// `true` when the cache holds blocks from a previous assembly.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        self.snapshot.is_some()
     }
 
     /// How many assemblies were served as values-only refreshes of the
@@ -281,136 +268,45 @@ impl AssemblyCache {
         self.symbolic_builds
     }
 
-    /// Assembles `stack`, reusing every cached layer block that is still
-    /// valid, and refreshes the cache to `stack`.
+    /// Assembles `stack`, replaying its blocks into the cached pattern when
+    /// the coordinates match and re-symbolizing otherwise.
     pub(crate) fn assemble(&mut self, stack: &Stack) -> Assembly {
-        let mut regenerated = vec![true; stack.layers.len()];
-        match &self.snapshot {
-            Some(prev) if same_structure(prev, stack) => {
-                for (l, regen) in regenerated.iter_mut().enumerate() {
-                    if block_stale(prev, stack, l) {
-                        self.blocks[l] = stack.layer_block(l);
-                    } else {
-                        *regen = false;
-                    }
-                }
-            }
-            _ => {
-                self.blocks = (0..stack.layers.len())
-                    .map(|l| stack.layer_block(l))
-                    .collect();
-                self.pattern = None;
-            }
-        }
-        self.snapshot = Some(stack.clone());
-        // Values-only fast path: replay the blocks into the cached pattern,
-        // validating the regenerated blocks' coordinates on the way. A
-        // width-only epoch keeps the coordinate sequence (widths move
-        // conductance *values*; the upwind/film/side-wall structure is
-        // fixed by the grid), so this is the steady-state path.
-        if let Some(pattern) = &self.pattern {
-            if let Some(matrix) = replay_blocks(&self.blocks, &regenerated, pattern) {
-                let (rhs, capacitance) = stack.system_vectors(&self.blocks);
-                self.values_refreshes += 1;
-                return Assembly {
-                    matrix,
-                    rhs,
-                    capacitance,
-                    nodes_per_layer: stack.nx * stack.nz,
-                };
-            }
+        let blocks: Vec<LayerBlock> = (0..stack.layers.len())
+            .map(|l| stack.layer_block(l))
+            .collect();
+        let refreshed = self
+            .pattern
+            .as_ref()
+            .and_then(|pattern| replay_blocks(&blocks, pattern));
+        if let Some(matrix) = refreshed {
+            self.values_refreshes += 1;
+            let (rhs, capacitance) = stack.system_vectors(&blocks);
+            return Assembly {
+                matrix,
+                rhs,
+                capacitance,
+                nodes_per_layer: stack.nx * stack.nz,
+            };
         }
         self.symbolic_builds += 1;
-        let (assembly, pattern) = stack.assembly_from_blocks_with_pattern(&self.blocks);
+        let (assembly, pattern) = stack.assembly_from_blocks_with_pattern(&blocks);
         self.pattern = Some(pattern);
         assembly
     }
 }
 
-/// Replays `blocks` into `pattern`, checking coordinates only for the
-/// regenerated blocks (unchanged blocks are byte-identical to what the
-/// pattern was recorded from). `None` when the structure drifted — e.g. a
-/// width hitting the full pitch zeroes the side-wall area and removes an
-/// emission — in which case the caller re-symbolizes.
-fn replay_blocks(
-    blocks: &[LayerBlock],
-    regenerated: &[bool],
-    pattern: &CsrPattern,
-) -> Option<CsrMatrix> {
+/// Replays `blocks` into `pattern`, checking every emission's coordinates.
+/// `None` when the structure drifted — e.g. a width hitting the full pitch
+/// zeroes the side-wall area and removes an emission — in which case the
+/// caller re-symbolizes.
+fn replay_blocks(blocks: &[LayerBlock], pattern: &CsrPattern) -> Option<CsrMatrix> {
     let mut refresh = pattern.refresh();
-    for (l, block) in blocks.iter().enumerate() {
-        if regenerated[l] {
-            for &(i, j, v) in &block.triplets {
-                if !refresh.push(i, j, v) {
-                    return None;
-                }
-            }
-        } else if !refresh.push_trusted(&block.triplets) {
+    for &(i, j, v) in blocks.iter().flat_map(|block| &block.triplets) {
+        if !refresh.push(i, j, v) {
             return None;
         }
     }
     refresh.finish()
-}
-
-/// Whether the two stacks share grid, extents, inlet and layer kinds — the
-/// precondition for reusing any block at all.
-fn same_structure(a: &Stack, b: &Stack) -> bool {
-    a.nx == b.nx
-        && a.nz == b.nz
-        && a.die_width == b.die_width
-        && a.die_length == b.die_length
-        && a.inlet == b.inlet
-        && a.layers.len() == b.layers.len()
-        && a.layers.iter().zip(&b.layers).all(|(x, y)| {
-            matches!(
-                (x, y),
-                (Layer::Solid { .. }, Layer::Solid { .. }) | (Layer::Cavity(_), Layer::Cavity(_))
-            )
-        })
-}
-
-/// Whether layer `l`'s block must be regenerated: its own layer changed, or
-/// a neighbour it reads geometry from did.
-///
-/// * A solid block reads its own layer (conductivity, thickness, power,
-///   capacity) and — for the vertical coupling — the material/thickness of a
-///   solid layer above.
-/// * A cavity block reads its spec and the material/thickness (not the
-///   power) of both solid neighbours.
-fn block_stale(prev: &Stack, next: &Stack, l: usize) -> bool {
-    if prev.layers[l] != next.layers[l] {
-        return true;
-    }
-    match &next.layers[l] {
-        Layer::Solid { .. } => {
-            l + 1 < next.layers.len() && solid_geometry_changed(prev, next, l + 1)
-        }
-        Layer::Cavity(_) => {
-            solid_geometry_changed(prev, next, l - 1) || solid_geometry_changed(prev, next, l + 1)
-        }
-    }
-}
-
-/// Whether layer `l`'s *conductive* identity changed (material or
-/// thickness); power-map-only changes don't count — no neighbour reads them.
-fn solid_geometry_changed(prev: &Stack, next: &Stack, l: usize) -> bool {
-    match (&prev.layers[l], &next.layers[l]) {
-        (
-            Layer::Solid {
-                material: ma,
-                thickness: ta,
-                ..
-            },
-            Layer::Solid {
-                material: mb,
-                thickness: tb,
-                ..
-            },
-        ) => ma != mb || ta != tb,
-        // A solid↔cavity swap already failed `same_structure`; a
-        // cavity/cavity pair has no solid geometry to compare.
-        _ => false,
-    }
 }
 
 /// Adds a symmetric conduction coupling of conductance `g` between two
@@ -590,7 +486,6 @@ mod tests {
         let mut cache = AssemblyCache::new();
         let first = cache.assemble(&before);
         assert_assemblies_bitwise_equal(&first, &before.assemble(), "cold cache");
-        assert!(cache.is_warm());
         let partial = cache.assemble(&after);
         assert_assemblies_bitwise_equal(&partial, &after.assemble(), "width update");
     }
@@ -605,25 +500,6 @@ mod tests {
         let _ = cache.assemble(&before);
         let partial = cache.assemble(&after);
         assert_assemblies_bitwise_equal(&partial, &after.assemble(), "power update");
-    }
-
-    /// A width-only change regenerates only the cavity layers' blocks.
-    #[test]
-    fn width_change_regenerates_only_cavity_blocks() {
-        let before = two_cavity_stack(30.0, 25.0);
-        let after = two_cavity_stack(42.0, 25.0);
-        for l in 0..before.layers.len() {
-            let stale = block_stale(&before, &after, l);
-            let is_cavity = matches!(after.layers[l], Layer::Cavity(_));
-            assert_eq!(stale, is_cavity, "layer {l}");
-        }
-        // And a power change touches only the powered solid layers.
-        let hotter = two_cavity_stack(30.0, 60.0);
-        for l in 0..before.layers.len() {
-            let stale = block_stale(&before, &hotter, l);
-            let expects = matches!(&hotter.layers[l], Layer::Solid { power: Some(_), .. });
-            assert_eq!(stale, expects, "layer {l}");
-        }
     }
 
     /// The values-only refresh: a width-only epoch must not re-symbolize —
@@ -662,25 +538,18 @@ mod tests {
             .map(|l| stack.layer_block(l))
             .collect();
         let (_, pattern) = stack.assembly_from_blocks_with_pattern(&blocks);
-        let all_regenerated = vec![true; blocks.len()];
         // Untampered replay succeeds.
-        assert!(replay_blocks(&blocks, &all_regenerated, &pattern).is_some());
-        // A regenerated block that lost an emission is caught by the
-        // coordinate check (or, at the latest, by the final count check).
+        assert!(replay_blocks(&blocks, &pattern).is_some());
+        // A block that lost an emission is caught by the coordinate check
+        // (or, at the latest, by the final count check).
         let mut dropped = blocks.clone();
         dropped[1].triplets.remove(7);
-        assert!(replay_blocks(&dropped, &all_regenerated, &pattern).is_none());
-        // A block that gained emissions overruns the recorded count even on
-        // the trusted (cached-block) path.
-        let mut grown = blocks.clone();
-        let extra = grown[2].triplets[0];
-        grown[2].triplets.push(extra);
-        assert!(replay_blocks(&grown, &vec![false; blocks.len()], &pattern).is_none());
-        // A regenerated block with a moved coordinate is caught even when
-        // the emission count is unchanged.
+        assert!(replay_blocks(&dropped, &pattern).is_none());
+        // A block with a moved coordinate is caught even when the emission
+        // count is unchanged.
         let mut moved = blocks.clone();
         moved[1].triplets[3].0 += 1;
-        assert!(replay_blocks(&moved, &all_regenerated, &pattern).is_none());
+        assert!(replay_blocks(&moved, &pattern).is_none());
     }
 
     /// A structurally different stack falls back to a full rebuild instead
@@ -694,10 +563,91 @@ mod tests {
             .silicon_layer("b", um(50.0))
             .build()
             .unwrap();
-        assert!(!same_structure(&five, &three));
         let mut cache = AssemblyCache::new();
         let _ = cache.assemble(&five);
         let rebuilt = cache.assemble(&three);
         assert_assemblies_bitwise_equal(&rebuilt, &three.assemble(), "structure change");
+        assert_eq!(
+            cache.symbolic_builds(),
+            2,
+            "the new structure re-symbolizes"
+        );
+    }
+
+    /// Layer structures of [`random_stack`], solid `false` and cavity
+    /// `true`: 3 and 5 layers, and two 4-layer orders that emit the same
+    /// number of triplets at different coordinates (so only the replay's
+    /// coordinate check tells them apart).
+    const STRUCTURES: [&[bool]; 4] = [
+        &[false, true, false],
+        &[false, true, false, true, false],
+        &[false, true, false, false],
+        &[false, false, true, false],
+    ];
+
+    /// A builder-valid stack drawn from `seed`, with its shape: one of two
+    /// grids, one of [`STRUCTURES`], random solid thicknesses and power
+    /// maps (some layers unpowered), and random per-cell cavity widths.
+    fn random_stack(seed: usize) -> (Stack, (usize, usize)) {
+        // SplitMix64: a fixed, dependency-free stream per seed.
+        let mut state = seed as u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / u64::MAX as f64
+        };
+        let (nx, nz) = if next() < 0.5 { (4, 6) } else { (3, 5) };
+        let structure = ((next() * STRUCTURES.len() as f64) as usize).min(STRUCTURES.len() - 1);
+        // A 100 µm pitch: widths are drawn inside (0, pitch).
+        let mut builder = StackBuilder::new(mm(0.1 * nx as f64), mm(0.1 * nz as f64), nx, nz);
+        for (l, &cavity) in STRUCTURES[structure].iter().enumerate() {
+            if cavity {
+                let widths = (0..nx)
+                    .map(|_| (0..nz).map(|_| um(5.0 + 90.0 * next())).collect())
+                    .collect();
+                builder = builder.microchannel_cavity(CavityWidths::PerColumn(widths));
+                continue;
+            }
+            builder = builder.silicon_layer(format!("die{l}"), um(20.0 + 80.0 * next()));
+            if next() < 0.75 {
+                let mut power = PowerMap::zeros(nx, nz);
+                for j in 0..nz {
+                    for i in 0..nx {
+                        power.set_cell(i, j, liquamod_units::Power::from_watts(next()));
+                    }
+                }
+                builder = builder.powered_by(power);
+            }
+        }
+        (builder.build().unwrap(), (nx, structure))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Random sequences of builder-valid stacks through one cache: every
+        /// assembly equals a fresh [`Stack::assemble`] bitwise, and only the
+        /// first stack and a change of grid or layer structure re-symbolize.
+        #[test]
+        fn cached_assembly_matches_fresh_assembly_on_random_stack_sequences(
+            seeds in proptest::collection::vec(0usize..1 << 48, 1..10),
+        ) {
+            let mut cache = AssemblyCache::new();
+            let mut shape = None;
+            let mut symbolic = 0;
+            for (k, &seed) in seeds.iter().enumerate() {
+                let (stack, next_shape) = random_stack(seed);
+                if shape != Some(next_shape) {
+                    symbolic += 1;
+                }
+                shape = Some(next_shape);
+                let cached = cache.assemble(&stack);
+                assert_assemblies_bitwise_equal(&cached, &stack.assemble(), "random stack");
+                proptest::prop_assert_eq!(cache.symbolic_builds(), symbolic);
+                proptest::prop_assert_eq!(cache.values_refreshes(), k + 1 - symbolic);
+            }
+        }
     }
 }

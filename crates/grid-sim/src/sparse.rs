@@ -172,26 +172,6 @@ impl CsrRefresh<'_> {
         true
     }
 
-    /// Replays a run of triplets known to be structurally unchanged since
-    /// the pattern was recorded, summing their values without coordinate
-    /// checks (the fast path for cached, already-validated blocks). Exact
-    /// zeros are skipped like in [`CsrRefresh::push`]. Returns `false` if
-    /// the replay overruns the recorded emission count.
-    #[must_use]
-    pub fn push_trusted(&mut self, entries: &[(usize, usize, f64)]) -> bool {
-        for &(_, _, v) in entries {
-            if v == 0.0 {
-                continue;
-            }
-            if self.cursor >= self.pattern.scatter.len() {
-                return false;
-            }
-            self.values[self.pattern.scatter[self.cursor]] += v;
-            self.cursor += 1;
-        }
-        true
-    }
-
     /// Finishes the refresh. Returns `None` when the number of emissions
     /// differs from the pattern (structural change).
     #[must_use]
@@ -581,28 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn pattern_trusted_replay_matches_checked_replay() {
-        let t = messy();
-        let (_, pattern) = t.to_csr_with_pattern();
-        let mut checked = pattern.refresh();
-        for &(i, j, v) in &t.entries {
-            assert!(checked.push(i, j, v));
-        }
-        let mut trusted = pattern.refresh();
-        assert!(trusted.push_trusted(&t.entries));
-        assert_bitwise_equal(&checked.finish().unwrap(), &trusted.finish().unwrap());
-        // Over-long trusted replay is rejected.
-        let mut over = pattern.refresh();
-        assert!(over.push_trusted(&t.entries));
-        assert!(!over.push_trusted(&[(0, 0, 1.0)]));
-    }
-
-    #[test]
     fn refreshed_matrices_share_structure_storage() {
         let t = messy();
         let (first, pattern) = t.to_csr_with_pattern();
         let mut refresh = pattern.refresh();
-        assert!(refresh.push_trusted(&t.entries));
+        for &(i, j, v) in &t.entries {
+            assert!(refresh.push(i, j, v));
+        }
         let second = refresh.finish().unwrap();
         assert!(std::sync::Arc::ptr_eq(&first.row_ptr, &second.row_ptr));
         assert!(std::sync::Arc::ptr_eq(&first.col_idx, &second.col_idx));

@@ -4,12 +4,17 @@
 //! determinism of the parallel MPSoC sweep.
 
 use liquamod::floorplan::{arch, trace::Phase, trace::PowerTrace, FluxGrid, PowerLevel};
+use liquamod::grid_sim::solver::SolverOptions;
+use liquamod::grid_sim::{ExponentialOptions, StepperKind};
 use liquamod::mpsoc::{
     arch_trace, run_mpsoc_sweep, ArchSpec, MpsocConfig, MpsocGrid, MpsocLoad, MpsocModulated,
     MpsocSweepOptions, MpsocTraceSpec,
 };
-use liquamod::transient::{EpochPolicy, ModulationPolicy};
-use liquamod::{ExecutionMode, OptimizationConfig};
+use liquamod::serve::{ServeOptions, ServePool};
+use liquamod::thermal_model::ModelParams;
+use liquamod::transient::{EpochPolicy, ModulationController, ModulationPolicy, TransientConfig};
+use liquamod::units::{Length, Pressure, VolumetricFlowRate};
+use liquamod::{CoreError, ExecutionMode, OptimizationConfig};
 use std::num::NonZeroUsize;
 
 /// A small-but-real configuration: 20 channel columns in 2 groups, 11 cells
@@ -203,4 +208,88 @@ fn zero_power_phase_skips_its_epoch_on_the_mpsoc_stack() {
     assert_eq!(outcome.epochs[0].step, 4);
     assert!((outcome.snapshots[0].gradient_k).abs() < 1e-6);
     assert!(outcome.snapshots[0].injected_w.abs() < 1e-12);
+}
+
+/// One setting every run would fail on, applied to the parts the strip and
+/// MPSoC configurations share.
+type Defect = fn(&mut ModelParams, &mut OptimizationConfig, &mut SolverOptions, &mut StepperKind);
+
+/// Each configuration defect that used to be accepted at construction and
+/// then fail (or evict the session) at the first run is refused up front:
+/// by `ServePool::new` and `MpsocModulated::for_arch` for the MPSoC
+/// configuration, and by `ModulationController::new` for its strip twin.
+#[test]
+fn configs_refuse_at_construction_what_every_run_fails_on() {
+    let cases: [(&str, Defect); 12] = [
+        ("0 optimizer segments", |_, o, _, _| o.segments = 0),
+        ("0 mesh intervals", |_, o, _, _| o.mesh_intervals = 0),
+        ("a NaN solver tolerance", |_, _, s, _| {
+            s.tolerance = f64::NAN
+        }),
+        ("a solver tolerance of -1", |_, _, s, _| s.tolerance = -1.0),
+        ("a solver cap of 0 iterations", |_, _, s, _| {
+            s.max_iterations = 0;
+        }),
+        ("an exponential stepper with 0 cells", |_, _, _, k| {
+            *k = StepperKind::Exponential(ExponentialOptions {
+                x_cells: 0,
+                ..ExponentialOptions::default()
+            });
+        }),
+        ("a negative flow rate", |p, _, _, _| {
+            p.flow_rate_per_channel = VolumetricFlowRate::from_ml_per_min(-0.5);
+        }),
+        ("a NaN flow rate", |p, _, _, _| {
+            p.flow_rate_per_channel = VolumetricFlowRate::from_ml_per_min(f64::NAN);
+        }),
+        ("w_min above w_max", |p, _, _, _| {
+            p.w_min = p.w_max + Length::from_micrometers(10.0);
+        }),
+        ("w_max above the pitch", |p, _, _, _| {
+            p.w_max = p.pitch * 1.5;
+        }),
+        ("a NaN h_si", |p, _, _, _| {
+            p.h_si = Length::from_meters(f64::NAN)
+        }),
+        ("a negative dp_max", |p, _, _, _| {
+            p.dp_max = Pressure::from_bar(-1.0)
+        }),
+    ];
+    let mut accepted = Vec::new();
+    for (what, defect) in cases {
+        let mut mpsoc = small_config();
+        defect(
+            &mut mpsoc.params,
+            &mut mpsoc.optimizer,
+            &mut mpsoc.solver,
+            &mut mpsoc.stepper,
+        );
+        let mut strip = TransientConfig::fast();
+        defect(
+            &mut strip.params,
+            &mut strip.optimizer,
+            &mut strip.solver,
+            &mut strip.stepper,
+        );
+        let options = ServeOptions::single(mpsoc.clone(), ModulationPolicy::every(6));
+        if !matches!(
+            ServePool::new(options),
+            Err(CoreError::InvalidConfig { .. })
+        ) {
+            accepted.push(format!("ServePool::new with {what}"));
+        }
+        if !matches!(
+            MpsocModulated::for_arch(&arch::arch1(), mpsoc),
+            Err(CoreError::InvalidConfig { .. })
+        ) {
+            accepted.push(format!("MpsocModulated::for_arch with {what}"));
+        }
+        if !matches!(
+            ModulationController::new(strip, ModulationPolicy::every(4)),
+            Err(CoreError::InvalidConfig { .. })
+        ) {
+            accepted.push(format!("ModulationController::new with {what}"));
+        }
+    }
+    assert!(accepted.is_empty(), "accepted: {accepted:#?}");
 }

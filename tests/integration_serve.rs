@@ -795,57 +795,119 @@ proptest! {
     }
 }
 
+/// A real snapshot of a closed Arch. 1 session after one served phase on
+/// `serve_options`' stacks, renumbered to an id no test pool uses: its
+/// resume state carries the pool's node state, adopted widths and a warm
+/// start, so a copy with one field broken has exactly one defect.
+fn served_snapshot() -> SessionSnapshot {
+    let mut pool = ServePool::new(serve_options(1, 1)).unwrap();
+    let id = pool.open(ArchSpec::Arch1).unwrap();
+    pool.submit_level(id, PowerLevel::Peak, BOUNDARY_PHASE_SECONDS)
+        .unwrap();
+    assert_eq!(pool.drain_batch().unwrap().decisions.len(), 1);
+    let mut snapshot = pool.close(id).unwrap();
+    let resume = snapshot.resume.as_ref().expect("one phase was served");
+    assert!(resume.warm.is_some(), "the first epoch was adopted");
+    snapshot.session_id = 40;
+    snapshot
+}
+
+/// `restore` checks every snapshot field the pool reads: a copy of a real
+/// snapshot with one field broken is refused with the pool unchanged,
+/// where it used to be admitted and then evicted, panic a worker, or stop
+/// every later batch.
 #[test]
 fn restore_refuses_snapshots_that_do_not_fit_the_pool() {
     let (mut pool, neighbour, probe) = pool_with_neighbour();
     pool.close(probe).unwrap();
-    let width = |um: f64| WidthProfile::uniform(Length::from_micrometers(um));
-    let snapshot = |widths: Vec<Vec<WidthProfile>>| {
-        let mut snapshot = pinned_snapshot();
-        snapshot.session_id = 40;
-        snapshot.resume.as_mut().unwrap().widths = widths;
-        snapshot
-    };
-    let misfits = [
-        // The first cavity holds 3 profiles instead of the pool's 2 groups.
-        vec![vec![width(50.0); 3], vec![width(50.0); 2]],
-        // One cavity instead of two.
-        vec![vec![width(50.0); 2]],
-        // One profile short in the second cavity.
-        vec![vec![width(50.0); 2], vec![width(50.0)]],
-        // A NaN width in a piecewise profile.
-        vec![
-            vec![width(50.0); 2],
-            vec![
-                width(50.0),
-                WidthProfile::piecewise_constant(vec![
-                    Length::from_micrometers(40.0),
-                    Length::from_meters(f64::NAN),
-                ]),
-            ],
-        ],
+    let fits = served_snapshot();
+    fn resume(s: &mut SessionSnapshot) -> &mut ResumeState {
+        s.resume.as_mut().unwrap()
+    }
+    fn warm(s: &mut SessionSnapshot) -> &mut DesignWarmStart {
+        resume(s).warm.as_mut().unwrap()
+    }
+    fn width(um: f64) -> WidthProfile {
+        WidthProfile::uniform(Length::from_micrometers(um))
+    }
+    type Defect = fn(&mut SessionSnapshot);
+    let defects: [(&str, Defect); 20] = [
+        (
+            "3 profiles in the first cavity instead of the pool's 2 groups",
+            |s| {
+                resume(s).widths = vec![vec![width(50.0); 3], vec![width(50.0); 2]];
+            },
+        ),
+        ("one cavity instead of two", |s| {
+            resume(s).widths = vec![vec![width(50.0); 2]];
+        }),
+        ("one profile short in the second cavity", |s| {
+            resume(s).widths = vec![vec![width(50.0); 2], vec![width(50.0)]];
+        }),
+        ("a NaN width in a piecewise profile", |s| {
+            let nan = [
+                Length::from_micrometers(40.0),
+                Length::from_meters(f64::NAN),
+            ];
+            resume(s).widths[1][1] = WidthProfile::piecewise_constant(nan.to_vec());
+        }),
+        ("a width of -50 um", |s| {
+            resume(s).widths[0][1] = width(-50.0)
+        }),
+        ("a width of 150 um, beyond the pitch", |s| {
+            resume(s).widths[1][0] = width(150.0);
+        }),
+        ("a 5-node state", |s| resume(s).state.truncate(5)),
+        ("a NaN node temperature", |s| resume(s).state[17] = f64::NAN),
+        ("a NaN last gradient", |s| {
+            resume(s).last_gradient_k = f64::NAN
+        }),
+        ("an infinite last gradient", |s| {
+            resume(s).last_gradient_k = f64::INFINITY;
+        }),
+        ("a warm start of dimension 3", |s| warm(s).x.truncate(3)),
+        ("a NaN warm-start coordinate", |s| warm(s).x[0] = f64::NAN),
+        ("1 of 4 pressure-cap multipliers", |s| {
+            warm(s).inequality_multipliers.truncate(1);
+        }),
+        ("0 of 4 equal-pressure multipliers", |s| {
+            warm(s).equality_multipliers.clear();
+        }),
+        ("a NaN penalty", |s| warm(s).penalty = f64::NAN),
+        ("a penalty of -5", |s| warm(s).penalty = -5.0),
+        ("a NaN clock", |s| s.clock_seconds = f64::NAN),
+        ("a NaN last power", |s| s.last_power_w = Some(f64::NAN)),
+        ("a NaN predictor slope", |s| {
+            s.predictor.slope_k_per_scale = f64::NAN;
+        }),
+        // `next_id` must advance past the restored id.
+        ("the largest session id", |s| s.session_id = u64::MAX),
     ];
-    let before = (
-        pool.session_ids(),
-        pool.pending_total(),
-        pool.metrics().clone(),
-    );
-    for widths in misfits {
-        let refused = pool.restore(&snapshot(widths.clone()));
-        assert!(
-            matches!(refused, Err(CoreError::InvalidDocument { .. })),
-            "{widths:?}: {refused:?}"
-        );
-        let after = (
+    let state = |pool: &ServePool| {
+        (
             pool.session_ids(),
             pool.pending_total(),
             pool.metrics().clone(),
+        )
+    };
+    let before = state(&pool);
+    let mut admitted = Vec::new();
+    for (what, defect) in defects {
+        let mut snapshot = fits.clone();
+        defect(&mut snapshot);
+        match pool.restore(&snapshot) {
+            Err(CoreError::InvalidDocument { .. }) => {}
+            other => admitted.push(format!("{what}: {other:?}")),
+        }
+        assert_eq!(
+            state(&pool),
+            before,
+            "{what}: a refused restore leaves the pool unchanged"
         );
-        assert_eq!(after, before, "a refused restore leaves the pool unchanged");
     }
+    assert!(admitted.is_empty(), "restored misfits: {admitted:#?}");
     // The neighbour's queued phase is still served, with no eviction.
     assert_neighbour_served(&mut pool, neighbour);
-    // A snapshot whose widths fit is admitted.
-    let fits = snapshot(vec![vec![width(50.0); 2]; 2]);
+    // The real snapshot fits and is admitted.
     assert_eq!(pool.restore(&fits).unwrap(), 40);
 }
