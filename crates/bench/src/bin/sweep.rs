@@ -77,6 +77,7 @@ use liquamod::{ObsReport, ObsSession};
 use liquamod_bench::{banner, print_table};
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -246,7 +247,35 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
+    for path in [&args.json, &args.trace, &args.counters]
+        .into_iter()
+        .flatten()
+    {
+        check_output_path(path)?;
+    }
     Ok(args)
+}
+
+/// Refuses an output path no write can succeed on — a directory, or a file
+/// in a directory that does not exist — before the run, so a long run does
+/// not discard its work at the end. A path can still fail when it is
+/// written (permissions, a full disk); the writers report that.
+fn check_output_path(path: &str) -> Result<(), String> {
+    let file = Path::new(path);
+    if file.is_dir() {
+        return Err(format!("cannot write {path}: it is a directory"));
+    }
+    let dir = match file.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if !dir.is_dir() {
+        return Err(format!(
+            "cannot write {path}: directory {} does not exist",
+            dir.display()
+        ));
+    }
+    Ok(())
 }
 
 /// Runs a mode's workload inside an observability session when any

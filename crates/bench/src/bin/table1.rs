@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin table1`
 
-use liquamod::microfluidics::{friction, nusselt, reynolds_number, RectDuct};
+use liquamod::microfluidics::{nusselt, reynolds_number, RectDuct};
 use liquamod::prelude::*;
 use liquamod_bench::{banner, print_table};
 
@@ -82,18 +82,15 @@ fn main() {
             "Nu (H1)",
             "h [W/m^2K]",
             "Re",
-            "f.Re (rect)",
             "dP over 1 cm [bar]",
         ]);
         for w_um in [params.w_min.as_micrometers(), params.w_max.as_micrometers()] {
             let duct = RectDuct::new(Length::from_micrometers(w_um), params.h_c)
                 .expect("table widths are valid");
-            let nu = nusselt::nusselt(params.nusselt, &duct);
-            let h = nusselt::heat_transfer_coefficient(params.nusselt, &duct, &params.coolant);
+            let nu = nusselt::nusselt(&duct);
+            let h = nusselt::heat_transfer_coefficient(&duct, &params.coolant);
             let re = reynolds_number(&duct, &params.coolant, params.flow_rate_per_channel);
-            let fre = friction::f_times_re(friction::FrictionModel::ShahLondonRect, &duct);
             let dp = liquamod::microfluidics::pressure::uniform_channel_pressure_drop(
-                params.friction,
                 &duct,
                 &params.coolant,
                 params.flow_rate_per_channel,
@@ -107,7 +104,6 @@ fn main() {
                 format!("{nu:.2}"),
                 format!("{:.0}", h.as_w_per_m2_k()),
                 format!("{re:.1}"),
-                format!("{fre:.1}"),
                 format!("{:.2}", dp.as_bar()),
             ]);
         }

@@ -1,11 +1,12 @@
 //! The `sweep` CLI's input boundary: every malformed argument exits 1 with
-//! an `error:` line on stderr, and never panics.
+//! an `error:` line on stderr before the run starts, and never panics.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `sweep` on the coarse configuration with `args` and checks that it
-/// exits 1 with an `error:` line and no panic.
+/// exits 1 with an `error:` line and no panic, and prints nothing on stdout:
+/// the refusal comes before the banner, not after a run.
 fn assert_refused<S: AsRef<std::ffi::OsStr>>(args: &[S]) {
     let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args(args)
@@ -20,6 +21,11 @@ fn assert_refused<S: AsRef<std::ffi::OsStr>>(args: &[S]) {
         "{shown:?}: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "{shown:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{shown:?}: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //! simulator: flux grids → power maps, width profiles → per-cell widths,
 //! and a one-call builder for the paper's two-die stacks.
 
-use crate::Result;
+use crate::{CoreError, Result};
 use liquamod_floorplan::FluxGrid;
-use liquamod_grid_sim::{CavitySpec, CavityWidths, PowerMap, Stack, StackBuilder};
+use liquamod_grid_sim::{
+    CavitySpec, CavityWidths, PowerMap, Stack, StackBuilder, SILICON_CONDUCTIVITY,
+};
 use liquamod_thermal_model::{HeatProfile, ModelParams, WidthProfile};
 use liquamod_units::{Length, LinearHeatFlux, Power};
 
@@ -77,6 +79,35 @@ pub fn cavity_widths_from_profiles(
     CavityWidths::PerColumn(columns)
 }
 
+/// Refuses model parameters whose silicon the finite-volume plant cannot
+/// represent: every plant solid conducts at grid-sim's silicon constant, so
+/// a run with another `k_si` would optimize one material and step another.
+pub(crate) fn check_plant_silicon(params: &ModelParams) -> Result<()> {
+    let (k, plant) = (params.k_si.si(), SILICON_CONDUCTIVITY.si());
+    if k == plant {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidConfig {
+            what: format!(
+                "k_si must be the finite-volume plant's silicon conductivity \
+                 {plant} W/(m·K), got {k}"
+            ),
+        })
+    }
+}
+
+/// The finite-volume cavity for the model's channels: `H_C`, the model's
+/// coolant and per-channel flow rate, and the given widths.
+pub(crate) fn cavity_spec(params: &ModelParams, widths: CavityWidths) -> Result<CavitySpec> {
+    check_plant_silicon(params)?;
+    Ok(CavitySpec {
+        height: params.h_c,
+        coolant: params.coolant.clone(),
+        flow_rate_per_channel: params.flow_rate_per_channel,
+        widths,
+    })
+}
+
 /// Builds the paper's two-die stack (active silicon / cavity / active
 /// silicon) for the finite-volume simulator:
 ///
@@ -90,7 +121,9 @@ pub fn cavity_widths_from_profiles(
 ///
 /// # Errors
 ///
-/// Propagates stack-validation failures (mismatched grids, bad widths).
+/// [`CoreError::InvalidConfig`] when `params.k_si` is not the plant's
+/// silicon conductivity; propagates stack-validation failures (mismatched
+/// grids, bad widths).
 pub fn two_die_stack(
     params: &ModelParams,
     top_grid: &FluxGrid,
@@ -102,14 +135,7 @@ pub fn two_die_stack(
         .inlet_temperature(params.inlet_temperature)
         .silicon_layer("bottom-die", params.h_si)
         .powered_by(power_map_from_grid(bottom_grid))
-        .microchannel_cavity_with(CavitySpec {
-            height: params.h_c,
-            coolant: params.coolant.clone(),
-            flow_rate_per_channel: params.flow_rate_per_channel,
-            nusselt: params.nusselt,
-            wall_material: liquamod_grid_sim::Material::silicon(),
-            widths,
-        })
+        .microchannel_cavity_with(cavity_spec(params, widths)?)
         .silicon_layer("top-die", params.h_si)
         .powered_by(power_map_from_grid(top_grid))
         .build()?;
@@ -178,5 +204,22 @@ mod tests {
         let field = stack.solve_steady().unwrap();
         assert!(field.peak_temperature().as_kelvin() > 300.0);
         assert!(field.energy_balance_residual() < 1e-6);
+    }
+
+    #[test]
+    fn two_die_stack_refuses_a_silicon_the_plant_cannot_build() {
+        // Every plant solid is silicon at grid-sim's constant: another k_si
+        // would optimize one material and step another.
+        let mut params = liquamod_thermal_model::ModelParams::date2012();
+        assert!(check_plant_silicon(&params).is_ok());
+        params.k_si = liquamod_units::ThermalConductivity::from_w_per_m_k(150.0);
+        let a1 = arch::arch1();
+        let top = a1.top_die().rasterize(10, 11, PowerLevel::Peak);
+        let bottom = a1.bottom_die().rasterize(10, 11, PowerLevel::Peak);
+        let widths = CavityWidths::Uniform(Length::from_micrometers(50.0));
+        assert!(matches!(
+            two_die_stack(&params, &top, &bottom, widths),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 }

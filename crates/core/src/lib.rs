@@ -11,11 +11,13 @@
 //! The workspace layering (each crate usable on its own):
 //!
 //! * [`liquamod_units`] — SI quantity newtypes;
-//! * [`liquamod_microfluidics`] — Nusselt/friction correlations, pressure;
+//! * [`liquamod_microfluidics`] — the paper's fixed channel physics: the
+//!   Shah–London H1 Nusselt film coefficient and the `f·Re = 64` Eq. (9)
+//!   pressure drop;
 //! * [`liquamod_thermal_model`] — the paper's §III analytical state-space
 //!   model and its collocation BVP solver;
-//! * [`liquamod_grid_sim`] — a 3D-ICE-style finite-volume simulator
-//!   (independent validation reference, thermal maps);
+//! * [`liquamod_grid_sim`] — a 3D-ICE-style finite-volume simulator with
+//!   silicon solids (independent validation reference, thermal maps);
 //! * [`liquamod_floorplan`] — the workloads: Tests A/B, UltraSPARC T1, the
 //!   Fig. 7 architectures;
 //! * [`liquamod_optimal_control`] — the NLP layer (projected L-BFGS,

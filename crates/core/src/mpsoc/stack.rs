@@ -10,7 +10,7 @@ use crate::{bridge, CoreError, Result};
 use liquamod_floorplan::arch::Architecture;
 use liquamod_floorplan::FluxGrid;
 use liquamod_grid_sim::solver::SolverOptions;
-use liquamod_grid_sim::{CavitySpec, Material, Stack, StackBuilder, StepperKind, TransientOptions};
+use liquamod_grid_sim::{Stack, StackBuilder, StepperKind, TransientOptions};
 use liquamod_thermal_model::{ChannelColumn, HeatProfile, Model, ModelParams, WidthProfile};
 use liquamod_units::Length;
 
@@ -246,18 +246,16 @@ impl ModulatedStack for MpsocModulated {
     fn build_stack(&self, load: &MpsocLoad, widths: &CavityProfiles) -> Result<Stack> {
         self.check_load(load)?;
         let params = &self.config.params;
-        let cavity = |profiles: &[WidthProfile]| CavitySpec {
-            height: params.h_c,
-            coolant: params.coolant.clone(),
-            flow_rate_per_channel: params.flow_rate_per_channel,
-            nusselt: params.nusselt,
-            wall_material: Material::silicon(),
-            widths: bridge::cavity_widths_from_profiles(
-                profiles,
-                self.group_size(),
-                self.die_length,
-                self.config.nz,
-            ),
+        let cavity = |profiles: &[WidthProfile]| {
+            bridge::cavity_spec(
+                params,
+                bridge::cavity_widths_from_profiles(
+                    profiles,
+                    self.group_size(),
+                    self.die_length,
+                    self.config.nz,
+                ),
+            )
         };
         let stack = StackBuilder::new(
             self.die_width,
@@ -268,10 +266,10 @@ impl ModulatedStack for MpsocModulated {
         .inlet_temperature(params.inlet_temperature)
         .silicon_layer("bottom-die", params.h_si)
         .powered_by(bridge::power_map_from_grid(&load.bottom))
-        .microchannel_cavity_with(cavity(&widths[0]))
+        .microchannel_cavity_with(cavity(&widths[0])?)
         .silicon_layer("top-die", params.h_si)
         .powered_by(bridge::power_map_from_grid(&load.top))
-        .microchannel_cavity_with(cavity(&widths[1]))
+        .microchannel_cavity_with(cavity(&widths[1])?)
         .silicon_layer("cap", params.h_si)
         .build()?;
         Ok(stack)

@@ -56,8 +56,7 @@ use liquamod_floorplan::testcase::StripLoad;
 use liquamod_floorplan::trace::PowerTrace;
 use liquamod_grid_sim::solver::SolverOptions;
 use liquamod_grid_sim::{
-    AssemblyCache, CavitySpec, Material, PowerMap, Stack, StackBuilder, StepperKind,
-    TransientOptions,
+    AssemblyCache, PowerMap, Stack, StackBuilder, StepperKind, TransientOptions,
 };
 use liquamod_thermal_model::{Model, ModelParams, SolveOptions, SolveWorkspace, WidthProfile};
 use liquamod_units::{Length, Power};
@@ -548,6 +547,7 @@ pub(crate) fn validate_run(
     if !errors.is_empty() {
         return invalid(format!("invalid model parameters: {}", errors.join("; ")));
     }
+    bridge::check_plant_silicon(params)?;
     optimizer.validate()?;
     if nz == 0 {
         return invalid("nz must be ≥ 1".into());
@@ -1289,14 +1289,10 @@ pub fn strip_stack(
         .inlet_temperature(params.inlet_temperature)
         .silicon_layer("bottom", params.h_si)
         .powered_by(layer_map(&load.bottom_w_cm2))
-        .microchannel_cavity_with(CavitySpec {
-            height: params.h_c,
-            coolant: params.coolant.clone(),
-            flow_rate_per_channel: params.flow_rate_per_channel,
-            nusselt: params.nusselt,
-            wall_material: Material::silicon(),
-            widths: bridge::cavity_widths_from_profiles(widths, 1, d, nz),
-        })
+        .microchannel_cavity_with(bridge::cavity_spec(
+            params,
+            bridge::cavity_widths_from_profiles(widths, 1, d, nz),
+        )?)
         .silicon_layer("top", params.h_si)
         .powered_by(layer_map(&load.top_w_cm2))
         .build()?;

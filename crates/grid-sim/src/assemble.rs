@@ -28,7 +28,7 @@
 //! sparsity pattern is kept and the symbolic sort is skipped.
 
 use crate::sparse::{CsrMatrix, CsrPattern, TripletMatrix};
-use crate::stack::{CavitySpec, Layer, Stack};
+use crate::stack::{CavitySpec, Layer, Stack, SILICON_CONDUCTIVITY, SILICON_HEAT_CAPACITY};
 use liquamod_microfluidics::{nusselt, RectDuct};
 
 /// Assembled steady-state system `A·T = p` plus the lumped capacitances
@@ -126,15 +126,12 @@ impl Stack {
             cap: Vec::new(),
         };
         let m = &mut block.triplets;
+        let k = SILICON_CONDUCTIVITY.si();
 
         match &self.layers[l] {
             Layer::Solid {
-                material,
-                thickness,
-                power,
-                ..
+                thickness, power, ..
             } => {
-                let k = material.thermal_conductivity().si();
                 let t = thickness.si();
                 for j in 0..nz {
                     for i in 0..nx {
@@ -152,14 +149,11 @@ impl Stack {
                         // Vertical to the layer above, when solid–solid.
                         if l + 1 < self.layers.len() {
                             if let Layer::Solid {
-                                material: m_hi,
-                                thickness: t_hi,
-                                ..
+                                thickness: t_hi, ..
                             } = &self.layers[l + 1]
                             {
                                 let a = dx * dz;
-                                let r = 0.5 * t / (k * a)
-                                    + 0.5 * t_hi.si() / (m_hi.thermal_conductivity().si() * a);
+                                let r = 0.5 * t / (k * a) + 0.5 * t_hi.si() / (k * a);
                                 couple(m, me, idx(l + 1, i, j), 1.0 / r);
                             }
                         }
@@ -169,16 +163,15 @@ impl Stack {
                         }
                         block
                             .cap
-                            .push((me, material.volumetric_heat_capacity().si() * dx * dz * t));
+                            .push((me, SILICON_HEAT_CAPACITY.si() * dx * dz * t));
                     }
                 }
             }
             Layer::Cavity(spec) => {
                 // Validated at build time: cavities always sit between
                 // two solid layers.
-                let (k_lo, t_lo) = solid_props(&self.layers[l - 1]);
-                let (k_hi, t_hi) = solid_props(&self.layers[l + 1]);
-                let k_wall = spec.wall_material.thermal_conductivity().si();
+                let t_lo = solid_thickness(&self.layers[l - 1]);
+                let t_hi = solid_thickness(&self.layers[l + 1]);
                 let hc = spec.height.si();
                 let cv_flow =
                     spec.coolant.volumetric_heat_capacity().si() * spec.flow_rate_per_channel.si();
@@ -192,16 +185,16 @@ impl Stack {
                         // series with the film over (w + H_C)·dz.
                         let g_film = h_film * (w + hc) * dz;
                         let a_pitch = dx * dz;
-                        let g_lo = series(k_lo * a_pitch / (0.5 * t_lo), g_film);
-                        let g_hi = series(k_hi * a_pitch / (0.5 * t_hi), g_film);
+                        let g_lo = series(k * a_pitch / (0.5 * t_lo), g_film);
+                        let g_hi = series(k * a_pitch / (0.5 * t_hi), g_film);
                         couple(m, me, idx(l - 1, i, j), g_lo);
                         couple(m, me, idx(l + 1, i, j), g_hi);
                         // Side-wall conduction bypassing the coolant.
                         let a_wall = (dx - w).max(0.0) * dz;
                         if a_wall > 0.0 {
-                            let r_wall = 0.5 * t_lo / (k_lo * a_wall)
-                                + hc / (k_wall * a_wall)
-                                + 0.5 * t_hi / (k_hi * a_wall);
+                            let r_wall = 0.5 * t_lo / (k * a_wall)
+                                + hc / (k * a_wall)
+                                + 0.5 * t_hi / (k * a_wall);
                             couple(m, idx(l - 1, i, j), idx(l + 1, i, j), 1.0 / r_wall);
                         }
                         // Upwind advection along +z.
@@ -328,13 +321,9 @@ fn series(g1: f64, g2: f64) -> f64 {
     }
 }
 
-fn solid_props(layer: &Layer) -> (f64, f64) {
+fn solid_thickness(layer: &Layer) -> f64 {
     match layer {
-        Layer::Solid {
-            material,
-            thickness,
-            ..
-        } => (material.thermal_conductivity().si(), thickness.si()),
+        Layer::Solid { thickness, .. } => thickness.si(),
         Layer::Cavity(_) => unreachable!("cavity adjacency validated at build time"),
     }
 }
@@ -342,7 +331,7 @@ fn solid_props(layer: &Layer) -> (f64, f64) {
 fn film_coefficient(spec: &CavitySpec, i: usize, j: usize) -> f64 {
     let duct = RectDuct::new(spec.widths.at(i, j), spec.height)
         .expect("cavity widths validated at build time");
-    nusselt::heat_transfer_coefficient(spec.nusselt, &duct, &spec.coolant).si()
+    nusselt::heat_transfer_coefficient(&duct, &spec.coolant).si()
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! reproduction's dependency budget, this crate provides an independent
 //! numerical reference implementing the same compact-model idea:
 //!
-//! * the stack is a pile of **solid layers** and **microchannel cavities**,
-//!   each one finite-volume cell thick;
+//! * the stack is a pile of **silicon layers** and **microchannel
+//!   cavities**, each one finite-volume cell thick; every solid, side walls
+//!   included, is silicon at [`SILICON_CONDUCTIVITY`];
 //! * every solid cell couples to its six neighbours through conduction
 //!   conductances (harmonic half-cell series across layer interfaces);
 //! * every cavity cell holds one channel pitch: a bulk-coolant node with
@@ -58,7 +59,6 @@ mod assemble;
 mod error;
 mod expstep;
 mod field;
-mod material;
 mod power;
 pub mod solver;
 pub mod sparse;
@@ -69,9 +69,8 @@ pub use assemble::AssemblyCache;
 pub use error::GridSimError;
 pub use expstep::ExponentialOptions;
 pub use field::{LayerField, ThermalField};
-pub use material::Material;
 pub use power::PowerMap;
-pub use stack::{CavitySpec, CavityWidths, Stack, StackBuilder};
+pub use stack::{CavitySpec, CavityWidths, Stack, StackBuilder, SILICON_CONDUCTIVITY};
 pub use transient::{StepperKind, TransientOptions, TransientSample, TransientStepper};
 
 /// Convenient result alias for fallible operations in this crate.

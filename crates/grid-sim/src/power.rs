@@ -48,33 +48,6 @@ impl PowerMap {
         map
     }
 
-    /// Builds a map by sampling a flux function at each cell centre:
-    /// `f(x_center, z_center) → HeatFlux`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn from_flux_fn(
-        nx: usize,
-        nz: usize,
-        die_width: Length,
-        die_length: Length,
-        f: impl Fn(Length, Length) -> HeatFlux,
-    ) -> Self {
-        let mut map = Self::zeros(nx, nz);
-        let dx = die_width.si() / nx as f64;
-        let dz = die_length.si() / nz as f64;
-        let cell = Area::from_si(dx * dz);
-        for j in 0..nz {
-            for i in 0..nx {
-                let x = Length::from_meters((i as f64 + 0.5) * dx);
-                let z = Length::from_meters((j as f64 + 0.5) * dz);
-                map.watts[j * nx + i] = (f(x, z) * cell).as_watts();
-            }
-        }
-        map
-    }
-
     /// Grid dimensions `(nx, nz)`.
     pub fn dims(&self) -> (usize, usize) {
         (self.nx, self.nz)
@@ -98,16 +71,6 @@ impl PowerMap {
     pub fn set_cell(&mut self, i: usize, j: usize, power: Power) {
         assert!(i < self.nx && j < self.nz, "cell index out of range");
         self.watts[j * self.nx + i] = power.as_watts();
-    }
-
-    /// Adds wattage to cell `(i, j)` (floorplan blocks accumulate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn add_cell(&mut self, i: usize, j: usize, power: Power) {
-        assert!(i < self.nx && j < self.nz, "cell index out of range");
-        self.watts[j * self.nx + i] += power.as_watts();
     }
 
     /// Total power over the map.
@@ -164,32 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn flux_fn_sampling() {
-        // Step in z: first half 0, second half 100 W/cm².
-        let m = PowerMap::from_flux_fn(
-            2,
-            4,
-            Length::from_centimeters(1.0),
-            Length::from_centimeters(1.0),
-            |_, z| {
-                if z.si() > 0.005 {
-                    HeatFlux::from_w_per_cm2(100.0)
-                } else {
-                    HeatFlux::ZERO
-                }
-            },
-        );
-        assert_eq!(m.cell(0, 0).as_watts(), 0.0);
-        assert_eq!(m.cell(1, 1).as_watts(), 0.0);
-        assert!(m.cell(0, 2).as_watts() > 0.0);
-        assert!((m.total().as_watts() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_add_cell() {
+    fn set_cell_updates_total() {
         let mut m = PowerMap::zeros(3, 3);
         m.set_cell(1, 2, Power::from_watts(2.0));
-        m.add_cell(1, 2, Power::from_watts(0.5));
+        m.set_cell(1, 2, Power::from_watts(2.5));
         assert!((m.cell(1, 2).as_watts() - 2.5).abs() < 1e-12);
         assert!((m.total().as_watts() - 2.5).abs() < 1e-12);
     }

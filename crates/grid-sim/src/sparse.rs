@@ -121,12 +121,6 @@ pub struct CsrPattern {
 }
 
 impl CsrPattern {
-    /// Number of triplet emissions the pattern was built from.
-    #[must_use]
-    pub fn emissions(&self) -> usize {
-        self.emit.len()
-    }
-
     /// Whether `(i, j)` matches the recorded emission at position `k`.
     #[must_use]
     pub fn emission_matches(&self, k: usize, i: usize, j: usize) -> bool {

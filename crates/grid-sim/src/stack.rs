@@ -1,8 +1,19 @@
 //! Stack description: layers, cavities, and the builder API.
 
-use crate::{GridSimError, Material, PowerMap};
-use liquamod_microfluidics::{nusselt::NusseltCorrelation, Coolant};
-use liquamod_units::{Length, Temperature, VolumetricFlowRate};
+use crate::{GridSimError, PowerMap};
+use liquamod_microfluidics::Coolant;
+use liquamod_units::{
+    Length, Temperature, ThermalConductivity, VolumetricFlowRate, VolumetricHeatCapacity,
+};
+
+/// Thermal conductivity of every solid in the stack — the dies and the
+/// channel side walls are silicon at the paper's Table I value.
+pub const SILICON_CONDUCTIVITY: ThermalConductivity = ThermalConductivity::from_w_per_m_k(130.0);
+
+/// Volumetric heat capacity of every solid in the stack (bulk silicon),
+/// used by the transient steppers.
+pub(crate) const SILICON_HEAT_CAPACITY: VolumetricHeatCapacity =
+    VolumetricHeatCapacity::from_j_per_m3_k(1.66e6);
 
 /// Channel widths inside a cavity.
 ///
@@ -31,7 +42,9 @@ impl CavityWidths {
     }
 }
 
-/// Full description of one microchannel cavity layer.
+/// Full description of one microchannel cavity layer. The wall-to-coolant
+/// film coefficient comes from the fully developed H1 Nusselt number, and
+/// the side walls are silicon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CavitySpec {
     /// Channel height `H_C`.
@@ -40,25 +53,18 @@ pub struct CavitySpec {
     pub coolant: Coolant,
     /// Volumetric flow rate per channel.
     pub flow_rate_per_channel: VolumetricFlowRate,
-    /// Nusselt correlation for the wall-to-coolant coefficient.
-    pub nusselt: NusseltCorrelation,
-    /// Material of the channel side walls.
-    pub wall_material: Material,
     /// Channel widths.
     pub widths: CavityWidths,
 }
 
 impl CavitySpec {
     /// Table-I-flavoured cavity: 100 µm tall channels, water at 300 K,
-    /// 0.5 mL/min/channel (the calibrated default flow), Shah–London H1,
-    /// silicon walls.
+    /// 0.5 mL/min/channel (the calibrated default flow).
     pub fn date2012(widths: CavityWidths) -> Self {
         Self {
             height: Length::from_micrometers(100.0),
             coolant: Coolant::water_300k(),
             flow_rate_per_channel: VolumetricFlowRate::from_ml_per_min(0.5),
-            nusselt: NusseltCorrelation::ShahLondonH1,
-            wall_material: Material::silicon(),
             widths,
         }
     }
@@ -69,7 +75,6 @@ impl CavitySpec {
 pub(crate) enum Layer {
     Solid {
         name: String,
-        material: Material,
         thickness: Length,
         power: Option<PowerMap>,
     },
@@ -111,25 +116,14 @@ impl StackBuilder {
         self
     }
 
-    /// Appends a solid layer of the given material.
-    pub fn solid_layer(
-        mut self,
-        name: impl Into<String>,
-        material: Material,
-        thickness: Length,
-    ) -> Self {
+    /// Appends a silicon layer.
+    pub fn silicon_layer(mut self, name: impl Into<String>, thickness: Length) -> Self {
         self.layers.push(Layer::Solid {
             name: name.into(),
-            material,
             thickness,
             power: None,
         });
         self
-    }
-
-    /// Appends a silicon layer (shorthand for the common case).
-    pub fn silicon_layer(self, name: impl Into<String>, thickness: Length) -> Self {
-        self.solid_layer(name, Material::silicon(), thickness)
     }
 
     /// Attaches a power map to the most recently added solid layer.
@@ -166,8 +160,9 @@ impl StackBuilder {
     ///
     /// [`GridSimError::InvalidStack`] when the description is inconsistent
     /// (empty stack, cavity on the boundary or adjacent to another cavity,
-    /// non-positive or non-finite dimensions, width samples of the wrong
-    /// shape, widths not inside `(0, pitch)`, NaN included), and
+    /// non-positive or non-finite dimensions, flow rates or inlet
+    /// temperature, width samples of the wrong shape, widths not inside
+    /// `(0, pitch)`, NaN included), and
     /// [`GridSimError::PowerMapMismatch`] when a power map grid disagrees
     /// with the stack grid.
     pub fn build(self) -> Result<Stack, GridSimError> {
@@ -179,8 +174,12 @@ impl StackBuilder {
         if self.nx == 0 || self.nz == 0 {
             return fail("grid must be at least 1x1");
         }
-        if !(self.die_width.si() > 0.0 && self.die_length.si() > 0.0) {
-            return fail("die extents must be positive");
+        let extents = [self.die_width, self.die_length];
+        if !extents.iter().all(|e| e.si() > 0.0 && e.is_finite()) {
+            return fail("die extents must be positive and finite");
+        }
+        if !(self.inlet.si() > 0.0 && self.inlet.is_finite()) {
+            return fail("coolant inlet temperature must be positive and finite");
         }
         if self.layers.is_empty() {
             return fail("stack has no layers");
@@ -217,6 +216,10 @@ impl StackBuilder {
                     }
                     if !(spec.height.is_finite() && spec.height.si() > 0.0) {
                         return fail("cavity height must be positive and finite");
+                    }
+                    let flow = spec.flow_rate_per_channel;
+                    if !(flow.si() > 0.0 && flow.is_finite()) {
+                        return fail("cavity flow rate must be positive and finite");
                     }
                     // Written so that a NaN width fails the range check too.
                     let outside = |w: &Length| !(w.si() > 0.0 && w.si() < pitch);
@@ -400,6 +403,15 @@ mod tests {
                 Err(GridSimError::InvalidStack { .. })
             ));
         }
+        // Infinite die extents (they used to build, then stall the solver
+        // for 20 000 iterations on a NaN residual).
+        let inf = Length::from_meters(f64::INFINITY);
+        for (w, l) in [(inf, mm(2.0)), (mm(1.0), inf)] {
+            let stack = StackBuilder::new(w, l, 10, 20)
+                .silicon_layer("a", um(50.0))
+                .build();
+            assert!(matches!(stack, Err(GridSimError::InvalidStack { .. })));
+        }
         // NaN layer thickness and cavity height.
         let thick = basic_builder().silicon_layer("a", nan).build();
         assert!(matches!(thick, Err(GridSimError::InvalidStack { .. })));
@@ -412,6 +424,40 @@ mod tests {
             .silicon_layer("b", um(50.0))
             .build();
         assert!(matches!(tall, Err(GridSimError::InvalidStack { .. })));
+    }
+
+    #[test]
+    fn rejects_non_physical_flow_rates_and_inlet_temperatures() {
+        // Each of these used to build, then solve to a nonsense field (zero
+        // flow: a peak of -4e46 K; negative flow: upwind advection running
+        // backwards) or stall the iterative solver (NaN, infinity).
+        let two_die = |flow: VolumetricFlowRate, inlet: Temperature| {
+            StackBuilder::new(mm(0.4), mm(0.6), 4, 6)
+                .inlet_temperature(inlet)
+                .silicon_layer("bottom", um(50.0))
+                .microchannel_cavity_with(CavitySpec {
+                    flow_rate_per_channel: flow,
+                    ..CavitySpec::date2012(CavityWidths::Uniform(um(50.0)))
+                })
+                .silicon_layer("top", um(50.0))
+                .build()
+        };
+        let ml_min = VolumetricFlowRate::from_ml_per_min;
+        let kelvin = Temperature::from_kelvin;
+        assert!(two_die(ml_min(0.5), kelvin(300.0)).is_ok());
+        for (flow, inlet) in [
+            (ml_min(0.0), kelvin(300.0)),
+            (ml_min(-0.5), kelvin(300.0)),
+            (ml_min(f64::NAN), kelvin(300.0)),
+            (ml_min(f64::INFINITY), kelvin(300.0)),
+            (ml_min(0.5), kelvin(-5.0)),
+            (ml_min(0.5), kelvin(f64::NAN)),
+        ] {
+            assert!(
+                matches!(two_die(flow, inlet), Err(GridSimError::InvalidStack { .. })),
+                "flow {flow:?}, inlet {inlet:?} must be refused"
+            );
+        }
     }
 
     #[test]

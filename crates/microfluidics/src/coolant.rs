@@ -1,7 +1,7 @@
 //! Coolant property sets.
 
 use crate::MicrofluidicsError;
-use liquamod_units::{Temperature, ThermalConductivity, Viscosity, VolumetricHeatCapacity};
+use liquamod_units::{ThermalConductivity, Viscosity, VolumetricHeatCapacity};
 
 /// A single-phase liquid coolant with constant (temperature-independent)
 /// properties, per the paper's assumption 2 in §IV.
@@ -11,12 +11,10 @@ use liquamod_units::{Temperature, ThermalConductivity, Viscosity, VolumetricHeat
 /// `c_v = 4.17 MJ/(m³·K)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coolant {
-    name: String,
     thermal_conductivity: ThermalConductivity,
     volumetric_heat_capacity: VolumetricHeatCapacity,
     dynamic_viscosity: Viscosity,
     density: f64,
-    reference_temperature: Temperature,
 }
 
 impl Coolant {
@@ -27,12 +25,10 @@ impl Coolant {
     /// Returns [`MicrofluidicsError::InvalidCoolant`] if any property is not
     /// strictly positive and finite.
     pub fn new(
-        name: impl Into<String>,
         thermal_conductivity: ThermalConductivity,
         volumetric_heat_capacity: VolumetricHeatCapacity,
         dynamic_viscosity: Viscosity,
         density_kg_per_m3: f64,
-        reference_temperature: Temperature,
     ) -> crate::Result<Self> {
         fn check(property: &'static str, value: f64) -> crate::Result<()> {
             if value.is_finite() && value > 0.0 {
@@ -45,14 +41,11 @@ impl Coolant {
         check("volumetric heat capacity", volumetric_heat_capacity.si())?;
         check("dynamic viscosity", dynamic_viscosity.si())?;
         check("density", density_kg_per_m3)?;
-        check("reference temperature", reference_temperature.si())?;
         Ok(Self {
-            name: name.into(),
             thermal_conductivity,
             volumetric_heat_capacity,
             dynamic_viscosity,
             density: density_kg_per_m3,
-            reference_temperature,
         })
     }
 
@@ -62,19 +55,12 @@ impl Coolant {
     /// `μ = 8.55·10⁻⁴ Pa·s`, `ρ = 996.5 kg/m³`.
     pub fn water_300k() -> Self {
         Self::new(
-            "water @ 300 K",
             ThermalConductivity::from_w_per_m_k(0.610),
             VolumetricHeatCapacity::from_j_per_m3_k(4.17e6),
             Viscosity::from_pa_s(8.55e-4),
             996.5,
-            Temperature::from_kelvin(300.0),
         )
         .expect("built-in water properties are valid")
-    }
-
-    /// Human-readable name of the coolant.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Thermal conductivity `k_f`.
@@ -96,22 +82,6 @@ impl Coolant {
     pub fn density_kg_per_m3(&self) -> f64 {
         self.density
     }
-
-    /// Temperature at which the constant properties were evaluated.
-    pub fn reference_temperature(&self) -> Temperature {
-        self.reference_temperature
-    }
-
-    /// Kinematic viscosity `ν = μ/ρ` in m²/s.
-    pub fn kinematic_viscosity_m2_per_s(&self) -> f64 {
-        self.dynamic_viscosity.si() / self.density
-    }
-
-    /// Prandtl number `Pr = μ·c_p/k_f = μ·(c_v/ρ)/k_f` (dimensionless).
-    pub fn prandtl(&self) -> f64 {
-        let cp = self.volumetric_heat_capacity.si() / self.density;
-        self.dynamic_viscosity.si() * cp / self.thermal_conductivity.si()
-    }
 }
 
 impl Default for Coolant {
@@ -130,32 +100,15 @@ mod tests {
         let w = Coolant::water_300k();
         assert!((w.volumetric_heat_capacity().si() - 4.17e6).abs() < 1.0);
         assert!((w.thermal_conductivity().si() - 0.610).abs() < 1e-12);
-        assert!((w.reference_temperature().as_kelvin() - 300.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn water_prandtl_is_realistic() {
-        // Water at ~300 K has Pr ≈ 5.8–6.0.
-        let pr = Coolant::water_300k().prandtl();
-        assert!(pr > 5.0 && pr < 7.0, "Pr = {pr}");
-    }
-
-    #[test]
-    fn kinematic_viscosity_is_realistic() {
-        // ~8.6e-7 m²/s for water at 300 K.
-        let nu = Coolant::water_300k().kinematic_viscosity_m2_per_s();
-        assert!(nu > 7e-7 && nu < 1e-6, "nu = {nu}");
     }
 
     #[test]
     fn rejects_nonpositive_properties() {
         let err = Coolant::new(
-            "bad",
             ThermalConductivity::from_w_per_m_k(0.0),
             VolumetricHeatCapacity::from_j_per_m3_k(4e6),
             Viscosity::from_pa_s(1e-3),
             1000.0,
-            Temperature::from_kelvin(300.0),
         );
         assert!(matches!(
             err,
@@ -169,12 +122,10 @@ mod tests {
     #[test]
     fn rejects_nan_density() {
         let err = Coolant::new(
-            "bad",
             ThermalConductivity::from_w_per_m_k(0.6),
             VolumetricHeatCapacity::from_j_per_m3_k(4e6),
             Viscosity::from_pa_s(1e-3),
             f64::NAN,
-            Temperature::from_kelvin(300.0),
         );
         assert!(err.is_err());
     }
@@ -182,6 +133,5 @@ mod tests {
     #[test]
     fn default_is_water() {
         assert_eq!(Coolant::default(), Coolant::water_300k());
-        assert_eq!(Coolant::water_300k().name(), "water @ 300 K");
     }
 }

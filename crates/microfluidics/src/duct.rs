@@ -46,11 +46,6 @@ impl RectDuct {
         self.width * self.height
     }
 
-    /// Wetted perimeter `P = 2(w_C + H_C)`.
-    pub fn wetted_perimeter(&self) -> Length {
-        (self.width + self.height) * 2.0
-    }
-
     /// Hydraulic diameter `D_h = 4A/P = 2·w_C·H_C/(w_C + H_C)`.
     pub fn hydraulic_diameter(&self) -> Length {
         Length::from_meters(
@@ -105,7 +100,6 @@ mod tests {
         assert!((d.hydraulic_diameter().as_micrometers() - 200.0 / 3.0).abs() < 1e-6);
         assert!((d.aspect_ratio() - 0.5).abs() < 1e-12);
         assert!((d.area().as_m2() - 5.0e-9).abs() < 1e-20);
-        assert!((d.wetted_perimeter().as_micrometers() - 300.0).abs() < 1e-9);
     }
 
     #[test]

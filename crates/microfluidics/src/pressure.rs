@@ -7,29 +7,28 @@
 //!
 //! `dP/dz = (f·Re)/8 · μ V̇ (H_C + w(z))² / (H_C · w(z))³`
 //!
-//! With the `f·Re = 64` circular-duct constant this is exactly the paper's
-//! Eq. (9) integrand `8 μ V̇ (H_C + w)²/(H_C·w)³`. The pressure drop of a
-//! modulated channel is the integral of the gradient over the channel length;
-//! for piecewise-constant width profiles the integral is a finite sum and is
-//! computed exactly.
+//! With [`F_TIMES_RE`] `= 64`, the circular-duct constant the paper uses, this
+//! is exactly its Eq. (9) integrand `8 μ V̇ (H_C + w)²/(H_C·w)³`. The pressure
+//! drop of a modulated channel is the integral of the gradient over the
+//! channel length; for piecewise-constant width profiles the integral is a
+//! finite sum and is computed exactly.
 
-use crate::{friction, friction::FrictionModel, Coolant, MicrofluidicsError, RectDuct};
+use crate::{Coolant, MicrofluidicsError, RectDuct};
 use liquamod_units::{Length, Pressure, VolumetricFlowRate};
+
+/// Product of the Darcy friction factor and the Reynolds number, `f·Re`, of
+/// fully developed laminar flow: the circular-duct constant that turns
+/// Darcy–Weisbach into the paper's Eq. (9).
+pub const F_TIMES_RE: f64 = 64.0;
 
 /// Pointwise pressure gradient `dP/dz` (Pa/m) of laminar flow through a
 /// rectangular cross-section at flow rate `V̇`.
-pub fn pressure_gradient(
-    model: FrictionModel,
-    duct: &RectDuct,
-    coolant: &Coolant,
-    flow_rate: VolumetricFlowRate,
-) -> f64 {
-    let fre = friction::f_times_re(model, duct);
+pub fn pressure_gradient(duct: &RectDuct, coolant: &Coolant, flow_rate: VolumetricFlowRate) -> f64 {
     let mu = coolant.dynamic_viscosity().si();
     let v = flow_rate.as_m3_per_s();
     let w = duct.width().si();
     let h = duct.height().si();
-    fre / 8.0 * mu * v * (h + w).powi(2) / (h * w).powi(3)
+    F_TIMES_RE / 8.0 * mu * v * (h + w).powi(2) / (h * w).powi(3)
 }
 
 /// Pressure drop across a channel of *uniform* width.
@@ -39,7 +38,6 @@ pub fn pressure_gradient(
 /// Returns [`MicrofluidicsError::InvalidFlow`] if `length` or `flow_rate`
 /// is not strictly positive and finite.
 pub fn uniform_channel_pressure_drop(
-    model: FrictionModel,
     duct: &RectDuct,
     coolant: &Coolant,
     flow_rate: VolumetricFlowRate,
@@ -47,7 +45,7 @@ pub fn uniform_channel_pressure_drop(
 ) -> crate::Result<Pressure> {
     validate_flow(flow_rate, length)?;
     Ok(Pressure::from_pascals(
-        pressure_gradient(model, duct, coolant, flow_rate) * length.si(),
+        pressure_gradient(duct, coolant, flow_rate) * length.si(),
     ))
 }
 
@@ -63,7 +61,6 @@ pub fn uniform_channel_pressure_drop(
 /// invalid or `segments` is empty, and [`MicrofluidicsError::InvalidDuct`]
 /// if any segment width is non-positive.
 pub fn modulated_channel_pressure_drop(
-    model: FrictionModel,
     segments: &[Length],
     height: Length,
     coolant: &Coolant,
@@ -81,7 +78,7 @@ pub fn modulated_channel_pressure_drop(
     let mut total = 0.0;
     for &w in segments {
         let duct = RectDuct::new(w, height)?;
-        total += pressure_gradient(model, &duct, coolant, flow_rate) * seg_len;
+        total += pressure_gradient(&duct, coolant, flow_rate) * seg_len;
     }
     Ok(Pressure::from_pascals(total))
 }
@@ -96,7 +93,6 @@ pub fn modulated_channel_pressure_drop(
 /// `flow_rate` or zero `n_intervals`, and [`MicrofluidicsError::InvalidDuct`]
 /// if the profile returns a non-positive width anywhere it is sampled.
 pub fn profile_pressure_drop(
-    model: FrictionModel,
     width_at: impl Fn(Length) -> Length,
     height: Length,
     coolant: &Coolant,
@@ -119,7 +115,7 @@ pub fn profile_pressure_drop(
     let h_step = length.si() / n as f64;
     let grad = |z: f64| -> crate::Result<f64> {
         let duct = RectDuct::new(width_at(Length::from_meters(z)), height)?;
-        Ok(pressure_gradient(model, &duct, coolant, flow_rate))
+        Ok(pressure_gradient(&duct, coolant, flow_rate))
     };
     let mut sum = grad(0.0)? + grad(length.si())?;
     for i in 1..n {
@@ -168,7 +164,7 @@ mod tests {
         let flow = VolumetricFlowRate::from_ml_per_min(0.3);
         for w_um in [10.0, 20.0, 35.0, 50.0] {
             let duct = paper_duct(w_um);
-            let ours = pressure_gradient(FrictionModel::LaminarCircular, &duct, &water, flow);
+            let ours = pressure_gradient(&duct, &water, flow);
             let paper = eq9_integrand(
                 water.dynamic_viscosity().si(),
                 flow.as_m3_per_s(),
@@ -187,22 +183,10 @@ mod tests {
         let water = Coolant::water_300k();
         let flow = VolumetricFlowRate::from_ml_per_min(0.3);
         let duct = paper_duct(50.0);
-        let p1 = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &duct,
-            &water,
-            flow,
-            Length::from_centimeters(1.0),
-        )
-        .unwrap();
-        let p2 = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &duct,
-            &water,
-            flow,
-            Length::from_centimeters(2.0),
-        )
-        .unwrap();
+        let p1 = uniform_channel_pressure_drop(&duct, &water, flow, Length::from_centimeters(1.0))
+            .unwrap();
+        let p2 = uniform_channel_pressure_drop(&duct, &water, flow, Length::from_centimeters(2.0))
+            .unwrap();
         assert!((p2.as_pascals() / p1.as_pascals() - 2.0).abs() < 1e-12);
     }
 
@@ -212,22 +196,8 @@ mod tests {
         let water = Coolant::water_300k();
         let flow = VolumetricFlowRate::from_ml_per_min(0.3);
         let len = Length::from_centimeters(1.0);
-        let wide = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &paper_duct(50.0),
-            &water,
-            flow,
-            len,
-        )
-        .unwrap();
-        let narrow = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &paper_duct(10.0),
-            &water,
-            flow,
-            len,
-        )
-        .unwrap();
+        let wide = uniform_channel_pressure_drop(&paper_duct(50.0), &water, flow, len).unwrap();
+        let narrow = uniform_channel_pressure_drop(&paper_duct(10.0), &water, flow, len).unwrap();
         let ratio = narrow.as_pascals() / wide.as_pascals();
         assert!(
             ratio > 50.0,
@@ -242,7 +212,6 @@ mod tests {
         // a uniform 50 µm channel sits right at the ΔP_max = 10 bar limit.
         let water = Coolant::water_300k();
         let dp = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
             &paper_duct(50.0),
             &water,
             VolumetricFlowRate::from_ml_per_min(4.8),
@@ -263,23 +232,10 @@ mod tests {
         let len = Length::from_centimeters(1.0);
         let h = Length::from_micrometers(100.0);
         let w = Length::from_micrometers(30.0);
-        let uniform = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &RectDuct::new(w, h).unwrap(),
-            &water,
-            flow,
-            len,
-        )
-        .unwrap();
-        let modulated = modulated_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &[w; 7],
-            h,
-            &water,
-            flow,
-            len,
-        )
-        .unwrap();
+        let uniform =
+            uniform_channel_pressure_drop(&RectDuct::new(w, h).unwrap(), &water, flow, len)
+                .unwrap();
+        let modulated = modulated_channel_pressure_drop(&[w; 7], h, &water, flow, len).unwrap();
         assert!((uniform.as_pascals() - modulated.as_pascals()).abs() < 1e-6);
     }
 
@@ -293,28 +249,14 @@ mod tests {
             Length::from_micrometers(50.0),
             Length::from_micrometers(10.0),
         ];
-        let modulated = modulated_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &widths,
-            h,
-            &water,
-            flow,
-            len,
-        )
-        .unwrap();
+        let modulated = modulated_channel_pressure_drop(&widths, h, &water, flow, len).unwrap();
         let half = Length::from_centimeters(0.5);
         let sum: f64 = widths
             .iter()
             .map(|&w| {
-                uniform_channel_pressure_drop(
-                    FrictionModel::LaminarCircular,
-                    &RectDuct::new(w, h).unwrap(),
-                    &water,
-                    flow,
-                    half,
-                )
-                .unwrap()
-                .as_pascals()
+                uniform_channel_pressure_drop(&RectDuct::new(w, h).unwrap(), &water, flow, half)
+                    .unwrap()
+                    .as_pascals()
             })
             .sum();
         assert!((modulated.as_pascals() - sum).abs() / sum < 1e-12);
@@ -328,26 +270,8 @@ mod tests {
         let h = Length::from_micrometers(100.0);
         // Linear taper 50 µm → 20 µm.
         let width_at = |z: Length| Length::from_micrometers(50.0 - 30.0 * (z.si() / len.si()));
-        let coarse = profile_pressure_drop(
-            FrictionModel::LaminarCircular,
-            width_at,
-            h,
-            &water,
-            flow,
-            len,
-            64,
-        )
-        .unwrap();
-        let fine = profile_pressure_drop(
-            FrictionModel::LaminarCircular,
-            width_at,
-            h,
-            &water,
-            flow,
-            len,
-            4096,
-        )
-        .unwrap();
+        let coarse = profile_pressure_drop(width_at, h, &water, flow, len, 64).unwrap();
+        let fine = profile_pressure_drop(width_at, h, &water, flow, len, 4096).unwrap();
         let rel = ((coarse.as_pascals() - fine.as_pascals()) / fine.as_pascals()).abs();
         assert!(rel < 1e-6, "Simpson convergence failure: rel = {rel}");
     }
@@ -359,24 +283,10 @@ mod tests {
         let len = Length::from_centimeters(1.0);
         let h = Length::from_micrometers(100.0);
         let w = Length::from_micrometers(30.0);
-        let odd = profile_pressure_drop(
-            FrictionModel::LaminarCircular,
-            |_| w,
-            h,
-            &water,
-            flow,
-            len,
-            33,
-        )
-        .unwrap();
-        let uniform = uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
-            &RectDuct::new(w, h).unwrap(),
-            &water,
-            flow,
-            len,
-        )
-        .unwrap();
+        let odd = profile_pressure_drop(|_| w, h, &water, flow, len, 33).unwrap();
+        let uniform =
+            uniform_channel_pressure_drop(&RectDuct::new(w, h).unwrap(), &water, flow, len)
+                .unwrap();
         assert!((odd.as_pascals() - uniform.as_pascals()).abs() / uniform.as_pascals() < 1e-12);
     }
 
@@ -386,7 +296,6 @@ mod tests {
         let h = Length::from_micrometers(100.0);
         let w = Length::from_micrometers(30.0);
         assert!(uniform_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
             &RectDuct::new(w, h).unwrap(),
             &water,
             VolumetricFlowRate::ZERO,
@@ -394,7 +303,6 @@ mod tests {
         )
         .is_err());
         assert!(modulated_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
             &[],
             h,
             &water,
@@ -403,7 +311,6 @@ mod tests {
         )
         .is_err());
         assert!(modulated_channel_pressure_drop(
-            FrictionModel::LaminarCircular,
             &[Length::ZERO],
             h,
             &water,
@@ -412,7 +319,6 @@ mod tests {
         )
         .is_err());
         assert!(profile_pressure_drop(
-            FrictionModel::LaminarCircular,
             |_| w,
             h,
             &water,
@@ -421,22 +327,5 @@ mod tests {
             0,
         )
         .is_err());
-    }
-
-    #[test]
-    fn shah_london_exceeds_circular_for_narrow_ducts() {
-        // α → 0 gives f·Re → 96 > 64, so the rectangular model predicts
-        // larger drops for the narrow channels the optimizer wants.
-        let water = Coolant::water_300k();
-        let flow = VolumetricFlowRate::from_ml_per_min(0.3);
-        let len = Length::from_centimeters(1.0);
-        let duct = paper_duct(10.0);
-        let circ =
-            uniform_channel_pressure_drop(FrictionModel::LaminarCircular, &duct, &water, flow, len)
-                .unwrap();
-        let rect =
-            uniform_channel_pressure_drop(FrictionModel::ShahLondonRect, &duct, &water, flow, len)
-                .unwrap();
-        assert!(rect.as_pascals() > circ.as_pascals());
     }
 }

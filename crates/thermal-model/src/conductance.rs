@@ -1,14 +1,14 @@
 //! Per-unit-length element conductances — the paper's Eq. (2).
 //!
-//! For a channel element at distance `z` from the inlet with local width
-//! `w_C(z)`, the equivalent electrical circuit of the paper's Fig. 3 has:
+//! For a channel element of local width `w_C(z)`, the equivalent electrical
+//! circuit of the paper's Fig. 3 has:
 //!
 //! | parameter | formula | role |
 //! |---|---|---|
 //! | `ĝ_l`    | `k_Si·W·H_Si` (W·m)            | longitudinal conduction in each active layer |
 //! | `ĝ_w`    | `k_Si·(W−w_C)/(2H_Si+H_C)`     | layer↔layer conduction through the side walls |
 //! | `ĝ_v,Si` | `k_Si·W/H_Si`                  | active layer → channel-wall surface |
-//! | `ĥ`      | `h(z,w_C)·(w_C+H_C)`           | wall surface → coolant convection (per layer) |
+//! | `ĥ`      | `h(w_C)·(w_C+H_C)`             | wall surface → coolant convection (per layer) |
 //! | `ĝ_v`    | `(ĝ_v,Si⁻¹ + ĥ⁻¹)⁻¹`           | effective layer → coolant path |
 //!
 //! The paper's prose swaps the textual descriptions of `ĝ_w` and `ĝ_v,Si`
@@ -50,9 +50,8 @@ pub struct ElementConductances {
 
 impl ElementConductances {
     /// Evaluates the circuit parameters for local channel width `width` and
-    /// group size `group_size` under the given model parameters, at distance
-    /// `z_from_inlet` from the coolant inlet (used only when
-    /// `params.developing_flow` enables the entry-length correction).
+    /// group size `group_size` under the given model parameters, with the
+    /// film coefficient `h` of the fully developed H1 Nusselt number.
     ///
     /// # Errors
     ///
@@ -64,27 +63,10 @@ impl ElementConductances {
         params: &ModelParams,
         width: Length,
         group_size: usize,
-        z_from_inlet: Length,
     ) -> Result<Self, liquamod_microfluidics::MicrofluidicsError> {
         let m = group_size as f64;
         let duct = RectDuct::new(width, params.h_c)?;
-        let h_si = if params.developing_flow {
-            let re = liquamod_microfluidics::reynolds_number(
-                &duct,
-                &params.coolant,
-                params.flow_rate_per_channel,
-            );
-            let nu = nusselt::nusselt_developing(
-                params.nusselt,
-                &duct,
-                &params.coolant,
-                re,
-                z_from_inlet.si(),
-            );
-            nu * params.coolant.thermal_conductivity().si() / duct.hydraulic_diameter().si()
-        } else {
-            nusselt::heat_transfer_coefficient(params.nusselt, &duct, &params.coolant).si()
-        };
+        let h_si = nusselt::heat_transfer_coefficient(&duct, &params.coolant).si();
         // Each layer owns its channel wall plus half of each side wall:
         // (w_C + H_C) of wetted perimeter out of the total 2(w_C + H_C).
         let h_conv = h_si * (width.si() + params.h_c.si()) * m;
@@ -127,7 +109,7 @@ mod tests {
     #[test]
     fn eq2_values_at_max_width() {
         let p = ModelParams::date2012();
-        let c = ElementConductances::evaluate(&p, um(50.0), 1, Length::ZERO).unwrap();
+        let c = ElementConductances::evaluate(&p, um(50.0), 1).unwrap();
         // ĝ_l = 130·1e-4·5e-5 = 6.5e-7 W·m
         assert!((c.g_longitudinal - 6.5e-7).abs() < 1e-18);
         // ĝ_w = 130·(100-50)µm/(2·50+100)µm = 130·5e-5/2e-4 = 32.5 W/mK
@@ -146,8 +128,8 @@ mod tests {
     #[test]
     fn narrower_width_more_convection_less_wall_gap() {
         let p = ModelParams::date2012();
-        let wide = ElementConductances::evaluate(&p, um(50.0), 1, Length::ZERO).unwrap();
-        let narrow = ElementConductances::evaluate(&p, um(10.0), 1, Length::ZERO).unwrap();
+        let wide = ElementConductances::evaluate(&p, um(50.0), 1).unwrap();
+        let narrow = ElementConductances::evaluate(&p, um(10.0), 1).unwrap();
         // Channel modulation's driving physics: narrow channel → better
         // convective path…
         assert!(narrow.g_vertical > 2.0 * wide.g_vertical);
@@ -160,8 +142,8 @@ mod tests {
     #[test]
     fn group_scaling_is_linear() {
         let p = ModelParams::date2012();
-        let one = ElementConductances::evaluate(&p, um(30.0), 1, Length::ZERO).unwrap();
-        let eight = ElementConductances::evaluate(&p, um(30.0), 8, Length::ZERO).unwrap();
+        let one = ElementConductances::evaluate(&p, um(30.0), 1).unwrap();
+        let eight = ElementConductances::evaluate(&p, um(30.0), 8).unwrap();
         assert!((eight.g_longitudinal / one.g_longitudinal - 8.0).abs() < 1e-12);
         assert!((eight.g_vertical_si / one.g_vertical_si - 8.0).abs() < 1e-12);
         assert!((eight.h_conv / one.h_conv - 8.0).abs() < 1e-12);
@@ -173,14 +155,14 @@ mod tests {
     #[test]
     fn width_equal_to_pitch_leaves_no_wall() {
         let p = ModelParams::date2012();
-        let c = ElementConductances::evaluate(&p, p.pitch, 1, Length::ZERO).unwrap();
+        let c = ElementConductances::evaluate(&p, p.pitch, 1).unwrap();
         assert_eq!(c.g_wall, 0.0);
     }
 
     #[test]
     fn invalid_width_is_error() {
         let p = ModelParams::date2012();
-        assert!(ElementConductances::evaluate(&p, Length::ZERO, 1, Length::ZERO).is_err());
+        assert!(ElementConductances::evaluate(&p, Length::ZERO, 1).is_err());
     }
 
     #[test]

@@ -149,16 +149,6 @@ impl HeatProfile {
             .collect();
         Self { steps }
     }
-
-    /// Largest per-unit-length heat input anywhere on the profile.
-    pub fn max_value(&self) -> LinearHeatFlux {
-        LinearHeatFlux::from_w_per_m(
-            self.steps
-                .iter()
-                .map(|&(_, q)| q)
-                .fold(f64::NEG_INFINITY, f64::max),
-        )
-    }
 }
 
 impl Default for HeatProfile {
@@ -246,12 +236,6 @@ mod tests {
         let pa = a.total_power(cm(2.0)).as_watts();
         let pb = b.total_power(cm(2.0)).as_watts();
         assert!((sum.total_power(cm(2.0)).as_watts() - pa - pb).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_value() {
-        let p = HeatProfile::equal_segments(&[wpm(10.0), wpm(80.0), wpm(30.0)], cm(3.0));
-        assert_eq!(p.max_value().si(), 80.0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod workspace;
 pub use conductance::ElementConductances;
 pub use error::ThermalModelError;
 pub use heat::HeatProfile;
-pub use model::{ChannelColumn, FlowDirection, Model, SolveOptions};
+pub use model::{ChannelColumn, Model, SolveOptions};
 pub use params::ModelParams;
 pub use solution::{ColumnProfiles, Solution};
 pub use width::WidthProfile;

@@ -6,44 +6,29 @@ use crate::solution::{ColumnProfiles, Solution};
 use crate::workspace::SolveWorkspace;
 use crate::{HeatProfile, ModelParams, Result, ThermalModelError, WidthProfile};
 use liquamod_microfluidics::pressure;
-use liquamod_units::{Length, Pressure, VolumetricFlowRate};
-
-/// Direction of coolant flow through a column.
-///
-/// `Reverse` models the alternating/counter-flow arrangements investigated by
-/// Brunschwiler et al. (the paper's ref. \[2\]) as a design-space extension:
-/// the coolant enters at `z = d` and exits at `z = 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlowDirection {
-    /// Inlet at `z = 0` (the paper's arrangement).
-    #[default]
-    Forward,
-    /// Inlet at `z = d` (counter-flow extension).
-    Reverse,
-}
+use liquamod_units::{Length, Pressure};
 
 /// One channel column of the stack: a width profile, the heat loads on the
 /// two active layers above and below it, and an optional grouping factor
 /// (one column node representing `m` adjacent physical channels, per §III).
+/// Coolant enters every column at `z = 0`, as in the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelColumn {
     width: WidthProfile,
     heat_top: HeatProfile,
     heat_bottom: HeatProfile,
     group_size: usize,
-    flow: FlowDirection,
 }
 
 impl ChannelColumn {
-    /// Creates a column with the given width profile, no heat load, group
-    /// size 1 and forward flow.
+    /// Creates a column with the given width profile, no heat load and group
+    /// size 1.
     pub fn new(width: WidthProfile) -> Self {
         Self {
             width,
             heat_top: HeatProfile::zero(),
             heat_bottom: HeatProfile::zero(),
             group_size: 1,
-            flow: FlowDirection::Forward,
         }
     }
 
@@ -70,12 +55,6 @@ impl ChannelColumn {
         self
     }
 
-    /// Sets the coolant flow direction.
-    pub fn with_flow_direction(mut self, flow: FlowDirection) -> Self {
-        self.flow = flow;
-        self
-    }
-
     /// Replaces the width profile (the optimizer's update path).
     pub fn set_width(&mut self, width: WidthProfile) {
         self.width = width;
@@ -99,11 +78,6 @@ impl ChannelColumn {
     /// Number of physical channels represented.
     pub fn group_size(&self) -> usize {
         self.group_size
-    }
-
-    /// Coolant flow direction.
-    pub fn flow_direction(&self) -> FlowDirection {
-        self.flow
     }
 }
 
@@ -426,7 +400,6 @@ impl Model {
         let p = &self.params;
         let dp = match width {
             WidthProfile::Uniform(w) => pressure::uniform_channel_pressure_drop(
-                p.friction,
                 &liquamod_microfluidics::RectDuct::new(*w, p.h_c)?,
                 &p.coolant,
                 p.flow_rate_per_channel,
@@ -434,7 +407,6 @@ impl Model {
             )?,
             WidthProfile::PiecewiseConstant { widths } => {
                 pressure::modulated_channel_pressure_drop(
-                    p.friction,
                     widths,
                     p.h_c,
                     &p.coolant,
@@ -443,7 +415,6 @@ impl Model {
                 )?
             }
             WidthProfile::PiecewiseLinear { .. } => pressure::profile_pressure_drop(
-                p.friction,
                 |z| width.width_at(z, self.length),
                 p.h_c,
                 &p.coolant,
@@ -462,20 +433,17 @@ impl Model {
     /// Propagates [`ThermalModelError::Microfluidics`] for unphysical widths.
     pub fn pump_power(&self) -> Result<liquamod_units::Power> {
         let drops = self.pressure_drops()?;
-        let flows: Vec<VolumetricFlowRate> = self
-            .columns
+        Ok(drops
             .iter()
-            .map(|c| self.params.flow_rate_per_channel * c.group_size as f64)
-            .collect();
-        Ok(liquamod_microfluidics::pump::cavity_pump_power(
-            &drops, &flows,
-        ))
+            .zip(&self.columns)
+            .map(|(&dp, c)| dp * (self.params.flow_rate_per_channel * c.group_size as f64))
+            .sum())
     }
 
     fn boundary_conditions_into(&self, bcs: &mut Vec<BoundaryCondition>) {
         bcs.clear();
         bcs.reserve(5 * self.columns.len());
-        for (i, col) in self.columns.iter().enumerate() {
+        for i in 0..self.columns.len() {
             let base = 5 * i;
             bcs.push(BoundaryCondition {
                 state: base + 2,
@@ -497,13 +465,9 @@ impl Model {
                 end: BcEnd::End,
                 value: 0.0,
             });
-            let (end, _) = match col.flow {
-                FlowDirection::Forward => (BcEnd::Start, ()),
-                FlowDirection::Reverse => (BcEnd::End, ()),
-            };
             bcs.push(BoundaryCondition {
                 state: base + 4,
-                end,
+                end: BcEnd::Start,
                 value: self.params.inlet_temperature.si(),
             });
         }
@@ -512,13 +476,13 @@ impl Model {
 
 /// Per-column memo of width → conductances.
 ///
-/// With the entry-length correction off (the default), the Eq. (2) circuit
-/// parameters depend only on the local width — and uniform/piecewise-constant
-/// profiles take a handful of distinct widths, while the assembly queries one
-/// per mesh interval. Precomputing per distinct width turns the assembly's
-/// dominant cost (duct + Nusselt evaluation) into a tiny table lookup. Cached
-/// values are produced by the same [`ElementConductances::evaluate`] call the
-/// direct path makes, so solves are bitwise identical either way.
+/// The Eq. (2) circuit parameters depend only on the local width — and
+/// uniform/piecewise-constant profiles take a handful of distinct widths,
+/// while the assembly queries one per mesh interval. Precomputing per
+/// distinct width turns the assembly's dominant cost (duct + Nusselt
+/// evaluation) into a tiny table lookup. Cached values are produced by the
+/// same [`ElementConductances::evaluate`] call the direct path makes, so
+/// solves are bitwise identical either way.
 struct ConductanceCache {
     /// `(width bits, conductances)` for each distinct profile width.
     entries: Vec<(u64, ElementConductances)>,
@@ -528,13 +492,9 @@ struct ConductanceCache {
 }
 
 impl ConductanceCache {
-    /// Builds the memo for `col`, or `None` when the conductances are
-    /// z-dependent (developing flow) or the profile is not piecewise
-    /// constant.
+    /// Builds the memo for `col`, or `None` when the profile is not
+    /// piecewise constant.
     fn build(params: &ModelParams, col: &ChannelColumn) -> Result<Option<Self>> {
-        if params.developing_flow {
-            return Ok(None);
-        }
         let mut widths: Vec<Length> = match col.width() {
             WidthProfile::Uniform(w) => vec![*w],
             WidthProfile::PiecewiseConstant { widths } => widths.clone(),
@@ -545,7 +505,7 @@ impl ConductanceCache {
         let entries = widths
             .into_iter()
             .map(|w| {
-                ElementConductances::evaluate(params, w, col.group_size(), Length::ZERO)
+                ElementConductances::evaluate(params, w, col.group_size())
                     .map(|c| (w.si().to_bits(), c))
             })
             .collect::<std::result::Result<Vec<_>, _>>()?;
@@ -589,7 +549,6 @@ impl<'m> StackCoefficients<'m> {
                 &model.params,
                 col.width().min_width(),
                 col.group_size(),
-                Length::ZERO,
             )?;
         }
         let caches = model
@@ -630,20 +589,11 @@ impl Coefficients for StackCoefficients<'_> {
         let cols = self.model.columns();
 
         for (i, col) in cols.iter().enumerate() {
-            let z_from_inlet = match col.flow_direction() {
-                FlowDirection::Forward => zl,
-                FlowDirection::Reverse => Length::from_meters(d.si() - z),
-            };
             let width = col.width().width_at(zl, d);
             let cached = self.caches[i].as_ref().and_then(|cache| cache.get(width));
             let c = cached.unwrap_or_else(|| {
-                ElementConductances::evaluate(
-                    &self.model.params,
-                    width,
-                    col.group_size(),
-                    z_from_inlet,
-                )
-                .expect("width range validated at model construction")
+                ElementConductances::evaluate(&self.model.params, width, col.group_size())
+                    .expect("width range validated at model construction")
             });
 
             let t1 = 5 * i;
@@ -667,12 +617,8 @@ impl Coefficients for StackCoefficients<'_> {
             a[q2 * s + tc] += c.g_vertical;
             b[q2] = col.heat_bottom().value_at(zl).si();
 
-            // c_v·V̇·dT_C/dz = ±[ĝ_v(T1 − T_C) + ĝ_v(T2 − T_C)]
-            let sign = match col.flow_direction() {
-                FlowDirection::Forward => 1.0,
-                FlowDirection::Reverse => -1.0,
-            };
-            let k = sign * c.g_vertical / c.capacity_rate;
+            // c_v·V̇·dT_C/dz = ĝ_v(T1 − T_C) + ĝ_v(T2 − T_C)
+            let k = c.g_vertical / c.capacity_rate;
             a[tc * s + t1] += k;
             a[tc * s + t2] += k;
             a[tc * s + tc] += -2.0 * k;
@@ -989,44 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_flow_mirrors_forward() {
-        // A single column with an asymmetric (front-loaded) heat profile:
-        // reversing the flow direction and the heat profile must mirror the
-        // temperature field.
-        let params = ModelParams::date2012();
-        let d = Length::from_centimeters(1.0);
-        let heat_front = HeatProfile::equal_segments(&[wpm(120.0), wpm(40.0)], d);
-        let heat_back = HeatProfile::equal_segments(&[wpm(40.0), wpm(120.0)], d);
-        let w = WidthProfile::uniform(Length::from_micrometers(30.0));
-        let fwd = ChannelColumn::new(w.clone())
-            .with_heat_top(heat_front.clone())
-            .with_heat_bottom(heat_front);
-        let rev = ChannelColumn::new(w)
-            .with_heat_top(heat_back.clone())
-            .with_heat_bottom(heat_back)
-            .with_flow_direction(FlowDirection::Reverse);
-        let sol_f = Model::new(params.clone(), d, vec![fwd])
-            .unwrap()
-            .solve(&SolveOptions::with_mesh_intervals(200))
-            .unwrap();
-        let sol_r = Model::new(params, d, vec![rev])
-            .unwrap()
-            .solve(&SolveOptions::with_mesh_intervals(200))
-            .unwrap();
-        // Compare T_top(z) against T_top(d − z).
-        let n = sol_f.n_nodes();
-        for j in 0..n {
-            let tf = sol_f.column(0).t_top_kelvin()[j];
-            let tr = sol_r.column(0).t_top_kelvin()[n - 1 - j];
-            assert!(
-                (tf - tr).abs() < 1e-6,
-                "mirror mismatch at node {j}: {tf} vs {tr}"
-            );
-        }
-        assert!(sol_r.energy_balance_residual() < 1e-9);
-    }
-
-    #[test]
     fn pressure_drops_match_microfluidics() {
         let model = test_a_model(50.0);
         let drops = model.pressure_drops().unwrap();
@@ -1099,11 +1007,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The collocation systems the optimizer factors, at 1, 2, 4 and 8
-        /// columns with forward and reverse flow, solve bit for bit like
-        /// the plain sliding-row band LU (exact zeros compared by value).
+        /// columns, solve bit for bit like the plain sliding-row band LU
+        /// (exact zeros compared by value).
         #[test]
         fn collocation_solves_match_sliding_row_oracle_bitwise(
-            reverse in 0usize..256,
             widths_um in proptest::collection::vec(10.0f64..50.0, 24..25),
             heats in proptest::collection::vec(0.0f64..200.0, 32..33),
             group_size in 1usize..50,
@@ -1121,16 +1028,10 @@ mod tests {
                             let segments = [wpm(heats[4 * i + j]), wpm(heats[4 * i + j + 1])];
                             HeatProfile::equal_segments(&segments, d)
                         };
-                        let flow = if reverse >> i & 1 == 1 {
-                            FlowDirection::Reverse
-                        } else {
-                            FlowDirection::Forward
-                        };
                         ChannelColumn::new(WidthProfile::piecewise_constant(widths))
                             .with_group_size(group_size)
                             .with_heat_top(heat(0))
                             .with_heat_bottom(heat(2))
-                            .with_flow_direction(flow)
                     })
                     .collect();
                 let model = Model::new(ModelParams::date2012(), d, columns).unwrap();

@@ -1,6 +1,6 @@
 //! Model parameter sets, anchored on the paper's Table I.
 
-use liquamod_microfluidics::{friction::FrictionModel, nusselt::NusseltCorrelation, Coolant};
+use liquamod_microfluidics::Coolant;
 use liquamod_units::{Length, Pressure, Temperature, ThermalConductivity, VolumetricFlowRate};
 
 /// Physical and design parameters of a liquid-cooled 3D-IC channel system.
@@ -51,14 +51,6 @@ pub struct ModelParams {
     pub w_min: Length,
     /// Maximum channel width `w_Cmax` (TSV clearance).
     pub w_max: Length,
-    /// Nusselt correlation for the convective conductance.
-    pub nusselt: NusseltCorrelation,
-    /// Friction model for pressure drops.
-    pub friction: FrictionModel,
-    /// When `true`, augment the Nusselt number with a thermally developing
-    /// entry-length correction (extension beyond the paper's fully developed
-    /// assumption 2; see `liquamod_microfluidics::nusselt::nusselt_developing`).
-    pub developing_flow: bool,
 }
 
 impl ModelParams {
@@ -76,9 +68,6 @@ impl ModelParams {
             dp_max: Pressure::from_bar(10.0),
             w_min: Length::from_micrometers(10.0),
             w_max: Length::from_micrometers(50.0),
-            nusselt: NusseltCorrelation::ShahLondonH1,
-            friction: FrictionModel::LaminarCircular,
-            developing_flow: false,
         }
     }
 

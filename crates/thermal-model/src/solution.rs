@@ -68,11 +68,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Mesh positions from the inlet.
-    pub fn z_grid(&self) -> Vec<Length> {
-        self.z.iter().map(|&z| Length::from_meters(z)).collect()
-    }
-
     /// Raw mesh positions in metres.
     pub fn z_meters(&self) -> &[f64] {
         &self.z
@@ -121,9 +116,8 @@ impl Solution {
         self.peak_temperature() - self.min_temperature()
     }
 
-    /// Coolant outlet temperature of column `i` (the last mesh node; for
-    /// reverse-flow columns, whose physical outlet is `z = 0`, use node 0 —
-    /// see [`ColumnProfiles::t_coolant`]).
+    /// Coolant outlet temperature of column `i` (the last mesh node, at
+    /// `z = d`).
     ///
     /// # Panics
     ///
@@ -276,6 +270,6 @@ mod tests {
         assert_eq!(c.q_top(0).as_watts(), 0.0);
         assert_eq!(c.q_bottom(1).as_watts(), 0.0);
         assert!((s.coolant_outlet(0).as_kelvin() - 320.0).abs() < 1e-12);
-        assert_eq!(s.z_grid().len(), 2);
+        assert_eq!(s.z_meters().len(), 2);
     }
 }

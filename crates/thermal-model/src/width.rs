@@ -133,11 +133,6 @@ impl WidthProfile {
         let values = self.values();
         values.iter().copied().fold(values[0], Length::max)
     }
-
-    /// Number of free parameters in the profile (1 for uniform).
-    pub fn parameter_count(&self) -> usize {
-        self.values().len()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +151,7 @@ mod tests {
             assert_eq!(p.width_at(Length::from_meters(d.si() * frac), d), um(30.0));
         }
         assert!(p.breakpoints(d).is_empty());
-        assert_eq!(p.parameter_count(), 1);
+        assert_eq!(p.values().len(), 1);
     }
 
     #[test]

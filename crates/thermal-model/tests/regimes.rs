@@ -1,8 +1,8 @@
 //! Regime tests for the analytical model: the Table-I-verbatim flow regime,
-//! the developing-flow extension, extreme loads, and solver robustness.
+//! extreme loads, and solver robustness.
 
 use liquamod_thermal_model::{
-    ChannelColumn, FlowDirection, HeatProfile, Model, ModelParams, SolveOptions, WidthProfile,
+    ChannelColumn, HeatProfile, Model, ModelParams, SolveOptions, WidthProfile,
 };
 use liquamod_units::{Length, LinearHeatFlux};
 
@@ -53,26 +53,6 @@ fn verbatim_flow_regime_is_convection_dominated() {
 }
 
 #[test]
-fn developing_flow_lowers_temperatures_near_inlet() {
-    let mut params = ModelParams::date2012();
-    let solve = SolveOptions::with_mesh_intervals(256);
-    let base = strip(&params, 30.0, 50.0).solve(&solve).expect("solves");
-    params.developing_flow = true;
-    let dev = strip(&params, 30.0, 50.0).solve(&solve).expect("solves");
-    // The entry-length correction only increases h, so temperatures drop…
-    assert!(dev.peak_temperature().as_kelvin() <= base.peak_temperature().as_kelvin() + 1e-9);
-    // …most visibly near the inlet.
-    let j_in = base.nearest_node(Length::from_millimeters(0.3));
-    let drop_in = base.column(0).t_top(j_in).as_kelvin() - dev.column(0).t_top(j_in).as_kelvin();
-    assert!(
-        drop_in > 0.0,
-        "inlet temperature should drop, got {drop_in}"
-    );
-    // Energy is still conserved.
-    assert!(dev.energy_balance_residual() < 1e-9);
-}
-
-#[test]
 fn extreme_load_still_solves_cleanly() {
     // 250 W/cm² per layer on the narrowest channel: the stiffest case in
     // the paper's parameter envelope.
@@ -104,60 +84,6 @@ fn asymmetric_layers_break_symmetry_the_right_way() {
             "hotter layer must stay hotter at node {j}"
         );
     }
-}
-
-#[test]
-fn counterflow_pair_flattens_the_field() {
-    // Alternating flow directions (the ref. [2] four-port idea): a pair of
-    // columns with opposite flow and identical loads should produce a
-    // smaller end-to-end silicon gradient than two forward columns, since
-    // each column's hot outlet sits next to the other's cold inlet.
-    let params = ModelParams::date2012();
-    let d = Length::from_centimeters(1.0);
-    let q = HeatProfile::uniform(LinearHeatFlux::from_w_per_m(50.0));
-    let w = WidthProfile::uniform(Length::from_micrometers(40.0));
-    let solve = SolveOptions::with_mesh_intervals(192);
-
-    let fwd_pair = Model::new(
-        params.clone(),
-        d,
-        vec![
-            ChannelColumn::new(w.clone())
-                .with_heat_top(q.clone())
-                .with_heat_bottom(q.clone()),
-            ChannelColumn::new(w.clone())
-                .with_heat_top(q.clone())
-                .with_heat_bottom(q.clone()),
-        ],
-    )
-    .expect("builds")
-    .solve(&solve)
-    .expect("solves");
-
-    let counter_pair = Model::new(
-        params,
-        d,
-        vec![
-            ChannelColumn::new(w.clone())
-                .with_heat_top(q.clone())
-                .with_heat_bottom(q.clone()),
-            ChannelColumn::new(w)
-                .with_heat_top(q.clone())
-                .with_heat_bottom(q)
-                .with_flow_direction(FlowDirection::Reverse),
-        ],
-    )
-    .expect("builds")
-    .solve(&solve)
-    .expect("solves");
-
-    assert!(
-        counter_pair.thermal_gradient().as_kelvin() < fwd_pair.thermal_gradient().as_kelvin(),
-        "counterflow {} K should beat parallel flow {} K",
-        counter_pair.thermal_gradient().as_kelvin(),
-        fwd_pair.thermal_gradient().as_kelvin()
-    );
-    assert!(counter_pair.energy_balance_residual() < 1e-9);
 }
 
 #[test]

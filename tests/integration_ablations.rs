@@ -1,61 +1,8 @@
-//! Ablation assertions: each modeling alternative must shift the results in
-//! the physically expected direction.
+//! Ablation assertions along the three design axes the model leaves open —
+//! the pressure budget, the coolant flow and the control resolution: each
+//! must shift the results in the physically expected direction.
 
-use liquamod::microfluidics::{friction::FrictionModel, nusselt::NusseltCorrelation};
 use liquamod::prelude::*;
-
-fn solve_test_a(params: &ModelParams) -> Solution {
-    let model = strip_model(&liquamod::floorplan::testcase::test_a(), params).expect("builds");
-    model
-        .solve(&SolveOptions::with_mesh_intervals(128))
-        .expect("solves")
-}
-
-#[test]
-fn nusselt_t_condition_runs_hotter_than_h1() {
-    // Nu_T < Nu_H1 for every aspect ratio → lower film coefficient →
-    // hotter silicon at the same load.
-    let mut params = ModelParams::date2012();
-    let peak_h1 = solve_test_a(&params).peak_temperature().as_kelvin();
-    params.nusselt = NusseltCorrelation::ShahLondonT;
-    let peak_t = solve_test_a(&params).peak_temperature().as_kelvin();
-    assert!(
-        peak_t > peak_h1,
-        "T-condition must run hotter: {peak_t:.2} vs {peak_h1:.2}"
-    );
-}
-
-#[test]
-fn developing_flow_runs_cooler_than_fully_developed() {
-    let mut params = ModelParams::date2012();
-    let base = solve_test_a(&params).peak_temperature().as_kelvin();
-    params.developing_flow = true;
-    let dev = solve_test_a(&params).peak_temperature().as_kelvin();
-    assert!(dev <= base, "entry-length correction only adds conductance");
-}
-
-#[test]
-fn shah_london_friction_costs_more_pressure() {
-    // f·Re(α) ≥ 64 on the paper's width range, with the gap widening for
-    // narrow channels — the rectangular model makes narrowing costlier.
-    let mut params = ModelParams::date2012();
-    let model = strip_model(&liquamod::floorplan::testcase::test_a(), &params).expect("builds");
-    let narrow = WidthProfile::uniform(params.w_min);
-    let dp_circular = model
-        .column_pressure_drop(&narrow)
-        .expect("dp")
-        .as_pascals();
-    params.friction = FrictionModel::ShahLondonRect;
-    let model = strip_model(&liquamod::floorplan::testcase::test_a(), &params).expect("builds");
-    let dp_rect = model
-        .column_pressure_drop(&narrow)
-        .expect("dp")
-        .as_pascals();
-    assert!(
-        dp_rect > 1.2 * dp_circular,
-        "rectangular friction should cost >20% more at w_min: {dp_rect:.0} vs {dp_circular:.0}"
-    );
-}
 
 #[test]
 fn tighter_pressure_budget_yields_smaller_reduction() {

@@ -13,7 +13,7 @@ use liquamod::mpsoc::{
 use liquamod::serve::{ServeOptions, ServePool};
 use liquamod::thermal_model::ModelParams;
 use liquamod::transient::{EpochPolicy, ModulationController, ModulationPolicy, TransientConfig};
-use liquamod::units::{Length, Pressure, VolumetricFlowRate};
+use liquamod::units::{Length, Pressure, ThermalConductivity, VolumetricFlowRate};
 use liquamod::{CoreError, ExecutionMode, OptimizationConfig};
 use std::num::NonZeroUsize;
 
@@ -215,12 +215,13 @@ fn zero_power_phase_skips_its_epoch_on_the_mpsoc_stack() {
 type Defect = fn(&mut ModelParams, &mut OptimizationConfig, &mut SolverOptions, &mut StepperKind);
 
 /// Each configuration defect that used to be accepted at construction and
-/// then fail (or evict the session) at the first run is refused up front:
+/// then fail (or evict the session) at the first run, or run a plant of
+/// another silicon than the model's, is refused up front:
 /// by `ServePool::new` and `MpsocModulated::for_arch` for the MPSoC
 /// configuration, and by `ModulationController::new` for its strip twin.
 #[test]
 fn configs_refuse_at_construction_what_every_run_fails_on() {
-    let cases: [(&str, Defect); 12] = [
+    let cases: [(&str, Defect); 13] = [
         ("0 optimizer segments", |_, o, _, _| o.segments = 0),
         ("0 mesh intervals", |_, o, _, _| o.mesh_intervals = 0),
         ("a NaN solver tolerance", |_, _, s, _| {
@@ -254,6 +255,10 @@ fn configs_refuse_at_construction_what_every_run_fails_on() {
         ("a negative dp_max", |p, _, _, _| {
             p.dp_max = Pressure::from_bar(-1.0)
         }),
+        (
+            "a k_si of 150 W/(m·K), not the plant's silicon",
+            |p, _, _, _| p.k_si = ThermalConductivity::from_w_per_m_k(150.0),
+        ),
     ];
     let mut accepted = Vec::new();
     for (what, defect) in cases {

@@ -86,7 +86,6 @@ proptest! {
         let w2_um = (w1_um + delta_um).min(50.0);
         let dp = |w_um: f64, f_scale: f64| {
             pressure::uniform_channel_pressure_drop(
-                params.friction,
                 &RectDuct::new(Length::from_micrometers(w_um), params.h_c).expect("duct"),
                 &coolant,
                 VolumetricFlowRate::from_ml_per_min(flow * f_scale),
@@ -111,10 +110,8 @@ proptest! {
             Length::from_micrometers((w_um + delta).min(50.0)),
             h_c,
         ).expect("duct");
-        let h_narrow = nusselt::heat_transfer_coefficient(
-            nusselt::NusseltCorrelation::ShahLondonH1, &narrow, &coolant);
-        let h_wide = nusselt::heat_transfer_coefficient(
-            nusselt::NusseltCorrelation::ShahLondonH1, &wide, &coolant);
+        let h_narrow = nusselt::heat_transfer_coefficient(&narrow, &coolant);
+        let h_wide = nusselt::heat_transfer_coefficient(&wide, &coolant);
         prop_assert!(h_narrow.as_w_per_m2_k() > h_wide.as_w_per_m2_k());
     }
 
